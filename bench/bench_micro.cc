@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the primitives every experiment
 // rests on: GF(256) RS coding, differential-Manchester emblem building,
-// range coding, LZ77 parsing and the two emulators. Complements the
-// table-style experiment benches with statistically solid numbers.
+// emblem detection, range coding, LZ77 parsing and the two emulators.
+// Complements the table-style experiment benches with statistically solid
+// numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,9 @@
 #include "dbcoder/rangecoder.h"
 #include "dynarisc/assembler.h"
 #include "dynarisc/machine.h"
+#include "media/profiles.h"
+#include "media/scanner.h"
+#include "mocoder/detect.h"
 #include "mocoder/emblem.h"
 #include "olonys/dynarisc_in_verisc.h"
 #include "rs/gf256.h"
@@ -17,6 +21,7 @@
 #include "support/crc32.h"
 #include "support/kernels.h"
 #include "support/random.h"
+#include "tests/reference_detect.h"
 
 namespace ule {
 namespace {
@@ -121,6 +126,45 @@ void BM_EmblemBuild(benchmark::State& state) {
                           mocoder::EmblemCapacity(n));
 }
 BENCHMARK(BM_EmblemBuild)->Arg(65)->Arg(128)->Arg(256);
+
+// ---- Emblem detection: one A4 scan at data_side 128, 4 dots/cell -------
+
+const media::Image& A4Scan() {
+  static const media::Image kScan = [] {
+    const int n = 128;
+    const Bytes payload = RandomBytes(6, static_cast<size_t>(
+                                             mocoder::EmblemCapacity(n)));
+    mocoder::EmblemHeader h;
+    h.stream_len = static_cast<uint32_t>(payload.size());
+    h.payload_crc = Crc32(payload);
+    const media::Image printed =
+        mocoder::RenderEmblem(mocoder::BuildEmblem(h, payload, n).value(), 4);
+    return media::Scan(printed, media::PaperA4Laser600().scan);
+  }();
+  return kScan;
+}
+
+void BM_SampleEmblem(benchmark::State& state) {
+  const media::Image& scan = A4Scan();
+  // Bit-identity asserted in-run: the timed sampler must reproduce the
+  // reference sampler's intensities and geometry on this scan.
+  mocoder::DetectInfo got_info, want_info;
+  const auto got = mocoder::SampleEmblem(scan, 128, &got_info);
+  const auto want =
+      mocoder::reference::ReferenceSampleEmblem(scan, 128, &want_info);
+  if (!got.ok() || !want.ok() || got.value() != want.value() ||
+      got_info.lens_k != want_info.lens_k ||
+      got_info.cell_pitch != want_info.cell_pitch ||
+      got_info.rotation_deg != want_info.rotation_deg) {
+    state.SkipWithError("SampleEmblem disagrees with the reference sampler");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mocoder::SampleEmblem(scan, 128));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SampleEmblem)->Unit(benchmark::kMillisecond);
 
 void BM_RangeCoderBit(benchmark::State& state) {
   Rng rng(6);

@@ -1,31 +1,22 @@
 #include "media/image.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 
 #include "support/io.h"
 
 namespace ule {
 namespace media {
 
-uint8_t Image::at_clamped(int x, int y) const {
-  x = std::clamp(x, 0, width_ - 1);
-  y = std::clamp(y, 0, height_ - 1);
-  return at(x, y);
-}
-
-double Image::Sample(double x, double y) const {
+double Image::SampleClamped(double x, double y) const {
   const int x0 = static_cast<int>(std::floor(x));
   const int y0 = static_cast<int>(std::floor(y));
-  const double fx = x - x0;
-  const double fy = y - y0;
-  const double a = at_clamped(x0, y0);
-  const double b = at_clamped(x0 + 1, y0);
-  const double c = at_clamped(x0, y0 + 1);
-  const double d = at_clamped(x0 + 1, y0 + 1);
-  return a * (1 - fx) * (1 - fy) + b * fx * (1 - fy) + c * (1 - fx) * fy +
-         d * fx * fy;
+  return Bilinear(at_clamped(x0, y0), at_clamped(x0 + 1, y0),
+                  at_clamped(x0, y0 + 1), at_clamped(x0 + 1, y0 + 1), x - x0,
+                  y - y0);
 }
 
 void Image::FillRect(int x, int y, int w, int h, uint8_t v) {
@@ -111,16 +102,20 @@ Bytes Image::ToPbm() const {
   std::string header = "P4\n" + std::to_string(width_) + " " +
                        std::to_string(height_) + "\n";
   Bytes out = ToBytes(header);
-  const int row_bytes = (width_ + 7) / 8;
+  const size_t row_bytes = (static_cast<size_t>(width_) + 7) / 8;
+  const size_t start = out.size();
+  out.resize(start + row_bytes * height_);
   for (int y = 0; y < height_; ++y) {
-    for (int b = 0; b < row_bytes; ++b) {
+    const uint8_t* row = pixels_.data() + static_cast<size_t>(y) * width_;
+    uint8_t* dst = out.data() + start + static_cast<size_t>(y) * row_bytes;
+    // Eight pixels per output byte, MSB first; bits past the row end are 0.
+    for (int x = 0; x < width_; x += 8) {
+      const int n = std::min(8, width_ - x);
       uint8_t byte = 0;
-      for (int i = 0; i < 8; ++i) {
-        const int x = b * 8 + i;
-        const bool black = (x < width_) && at(x, y) < 128;
-        byte = static_cast<uint8_t>((byte << 1) | (black ? 1 : 0));
+      for (int i = 0; i < n; ++i) {
+        byte |= static_cast<uint8_t>((row[x + i] < 128 ? 1 : 0) << (7 - i));
       }
-      out.push_back(byte);
+      *dst++ = byte;
     }
   }
   return out;
@@ -131,15 +126,25 @@ Result<Image> Image::FromPbm(BytesView data) {
   ULE_ASSIGN_OR_RETURN(size_t pos,
                        ParseNetpbmHeader(data, "P4", &w, &h, &unused, false));
   if (w <= 0 || h <= 0) return Status::Corruption("bad PBM geometry");
-  const int row_bytes = (w + 7) / 8;
-  const size_t need = static_cast<size_t>(row_bytes) * h;
+  const size_t row_bytes = (static_cast<size_t>(w) + 7) / 8;
+  const size_t need = row_bytes * h;
   if (data.size() - pos < need) return Status::Corruption("truncated PBM");
+  // Each packed byte expands to its eight pixels through one table row.
+  static const auto kUnpack = [] {
+    std::array<std::array<uint8_t, 8>, 256> table{};
+    for (int byte = 0; byte < 256; ++byte) {
+      for (int i = 0; i < 8; ++i) {
+        table[byte][i] = ((byte >> (7 - i)) & 1) ? 0 : 255;
+      }
+    }
+    return table;
+  }();
   Image img(w, h);
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const uint8_t byte = data[pos + static_cast<size_t>(y) * row_bytes + x / 8];
-      const bool black = (byte >> (7 - (x % 8))) & 1;
-      img.set(x, y, black ? 0 : 255);
+    const uint8_t* src = data.data() + pos + static_cast<size_t>(y) * row_bytes;
+    uint8_t* row = img.pixels_.data() + static_cast<size_t>(y) * w;
+    for (int x = 0; x < w; x += 8) {
+      std::memcpy(row + x, kUnpack[*src++].data(), std::min(8, w - x));
     }
   }
   return img;

@@ -10,6 +10,7 @@
 #ifndef ULE_MEDIA_IMAGE_H_
 #define ULE_MEDIA_IMAGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,9 +40,29 @@ class Image {
     pixels_[static_cast<size_t>(y) * width_ + x] = v;
   }
   /// at() with clamped coordinates (edge extension).
-  uint8_t at_clamped(int x, int y) const;
+  uint8_t at_clamped(int x, int y) const {
+    x = std::clamp(x, 0, width_ - 1);
+    y = std::clamp(y, 0, height_ - 1);
+    return at(x, y);
+  }
   /// Bilinear sample at fractional coordinates, clamped at edges.
-  double Sample(double x, double y) const;
+  double Sample(double x, double y) const {
+    // Interior: truncation is floor, and all four neighbours are in range,
+    // so they are read through one row pointer.
+    if (x >= 0 && y >= 0 && x < width_ - 1 && y < height_ - 1) {
+      const int x0 = static_cast<int>(x);
+      const int y0 = static_cast<int>(y);
+      const size_t i = static_cast<size_t>(y0) * width_ + x0;
+      // Implied by the tests above; restated against the buffer so the
+      // compiler can prove the four reads in bounds.
+      if (i + width_ + 1 < pixels_.size()) {
+        const uint8_t* p = &pixels_[i];
+        return Bilinear(p[0], p[1], p[width_], p[width_ + 1], x - x0,
+                        y - y0);
+      }
+    }
+    return SampleClamped(x, y);
+  }
 
   void FillRect(int x, int y, int w, int h, uint8_t v);
 
@@ -69,6 +90,14 @@ class Image {
   static Result<Image> LoadPbm(const std::string& path);
 
  private:
+  static double Bilinear(double a, double b, double c, double d, double fx,
+                         double fy) {
+    return a * (1 - fx) * (1 - fy) + b * fx * (1 - fy) + c * (1 - fx) * fy +
+           d * fx * fy;
+  }
+  /// Sample() near or past the edges, where neighbours are clamped.
+  double SampleClamped(double x, double y) const;
+
   int width_ = 0;
   int height_ = 0;
   std::vector<uint8_t> pixels_;

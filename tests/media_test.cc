@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "media/image.h"
 #include "media/profiles.h"
 #include "media/scanner.h"
+#include "support/random.h"
 
 namespace ule {
 namespace media {
@@ -77,6 +81,74 @@ TEST(ImageTest, PbmThresholdsGray) {
   EXPECT_EQ(back.value().at(0, 0), 0);
   EXPECT_EQ(back.value().at(1, 0), 0);
   EXPECT_EQ(back.value().at(2, 0), 255);
+}
+
+// Bit-at-a-time PBM body packing (MSB first, rows padded to whole bytes),
+// the specification the bytewise packer must match.
+Bytes PackPbmBody(const Image& img) {
+  Bytes out;
+  for (int y = 0; y < img.height(); ++y) {
+    for (int b = 0; b < (img.width() + 7) / 8; ++b) {
+      uint8_t byte = 0;
+      for (int i = 0; i < 8; ++i) {
+        const int x = b * 8 + i;
+        const bool black = x < img.width() && img.at(x, y) < 128;
+        byte = static_cast<uint8_t>((byte << 1) | (black ? 1 : 0));
+      }
+      out.push_back(byte);
+    }
+  }
+  return out;
+}
+
+TEST(ImageTest, PbmRoundTripEveryRowPadding) {
+  Rng rng(5);
+  for (int w = 1; w <= 17; ++w) {
+    for (int h : {1, 3}) {
+      Image img(w, h);
+      for (auto& px : img.mutable_pixels()) {
+        px = static_cast<uint8_t>(rng.Below(256));
+      }
+      const Bytes pbm = img.ToPbm();
+      const std::string header =
+          "P4\n" + std::to_string(w) + " " + std::to_string(h) + "\n";
+      Bytes want = ToBytes(header);
+      const Bytes body = PackPbmBody(img);
+      want.insert(want.end(), body.begin(), body.end());
+      EXPECT_EQ(pbm, want) << w << "x" << h;
+
+      auto back = Image::FromPbm(pbm);
+      ASSERT_TRUE(back.ok()) << w << "x" << h;
+      ASSERT_EQ(back.value().width(), w);
+      ASSERT_EQ(back.value().height(), h);
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          EXPECT_EQ(back.value().at(x, y), img.at(x, y) < 128 ? 0 : 255)
+              << w << "x" << h << " at " << x << "," << y;
+        }
+      }
+    }
+  }
+}
+
+TEST(ImageTest, PbmPaddingBitsIgnored) {
+  // Set padding bits past the row end: they must not leak into pixels.
+  Bytes pbm = ToBytes("P4\n3 2\n");
+  pbm.push_back(0xBF);  // 101 11111
+  pbm.push_back(0x5F);  // 010 11111
+  auto img = Image::FromPbm(pbm);
+  ASSERT_TRUE(img.ok());
+  const std::vector<uint8_t> want = {0, 255, 0, 255, 0, 255};
+  EXPECT_EQ(img.value().pixels(), want);
+}
+
+TEST(ImageTest, RejectsTruncatedPbm) {
+  const Bytes pbm = Checkerboard(17, 4, 2).ToPbm();
+  EXPECT_TRUE(Image::FromPbm(pbm).ok());
+  const Bytes truncated(pbm.begin(), pbm.end() - 1);
+  auto img = Image::FromPbm(truncated);
+  ASSERT_FALSE(img.ok());
+  EXPECT_EQ(img.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ImageTest, RejectsGarbage) {

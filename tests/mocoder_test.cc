@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "media/profiles.h"
 #include "media/scanner.h"
 #include "mocoder/detect.h"
@@ -15,6 +17,14 @@
 #include "support/random.h"
 
 namespace ule {
+namespace media {
+
+// As for ScanCase below: a stable listing name instead of a byte dump that
+// starts with the address of the profile's name string.
+static void PrintTo(const MediaProfile& p, std::ostream* os) { *os << p.name; }
+
+}  // namespace media
+
 namespace mocoder {
 namespace {
 
@@ -260,6 +270,11 @@ struct ScanCase {
   double dust;
 };
 
+// Names the case in test listings. Without it GoogleTest dumps the raw
+// bytes, whose leading `name` pointer changes with every (ASLR) run and so
+// gives the discovered ctest test a different name on each build.
+void PrintTo(const ScanCase& c, std::ostream* os) { *os << c.name; }
+
 class DetectUnderDistortion : public ::testing::TestWithParam<ScanCase> {};
 
 TEST_P(DetectUnderDistortion, DecodesThroughScan) {
@@ -304,6 +319,35 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DetectTest, FailsWithoutEmblem) {
   media::Image blank(200, 200, 255);
   EXPECT_FALSE(SampleEmblem(blank, 65).ok());
+}
+
+// data_side arrives from film or disk headers (up to 65535 in ULE-C1, any
+// int in a directory manifest); the sampler rejects it before sizing
+// anything from it.
+TEST(DetectTest, RejectsNonPositiveDataSide) {
+  const media::Image img(200, 200, 0);
+  for (int n : {0, -1, -65535, INT_MIN}) {
+    auto cells = SampleEmblem(img, n);
+    ASSERT_FALSE(cells.ok()) << n;
+    EXPECT_EQ(cells.status().code(), StatusCode::kInvalidArgument) << n;
+  }
+}
+
+TEST(DetectTest, RejectsDataSideLargerThanScan) {
+  // A real emblem, so only the geometry check can fail it.
+  const int n = 80;
+  Rng rng(9);
+  const Bytes payload = RandomPayload(&rng, EmblemCapacity(n));
+  auto grid = BuildEmblem(MakeHeader(StreamId::kData, 0, payload), payload, n);
+  ASSERT_TRUE(grid.ok());
+  const media::Image img = RenderEmblem(grid.value(), 1, 0);
+  ASSERT_EQ(img.width(), n + 2 * kFrameCells);
+  EXPECT_TRUE(SampleEmblem(img, n).ok());
+  for (int bad : {n + 1, 65535, INT_MAX}) {
+    auto cells = SampleEmblem(img, bad);
+    ASSERT_FALSE(cells.ok()) << bad;
+    EXPECT_EQ(cells.status().code(), StatusCode::kCorruption) << bad;
+  }
 }
 
 // ---------------- outer code ----------------
