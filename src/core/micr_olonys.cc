@@ -268,8 +268,8 @@ Result<Bytes> RunViaBootstrap(const verisc::Program& interpreter,
   // When the parsed Bootstrap's emulator is word-for-word the in-tree
   // interpreter (the round-trip guarantee olonys_test pins down) and the
   // caller runs the reference engine, route through RunNested so the
-  // shared translation cache and the warm-start interpreter apply across
-  // every frame of the restore. Output bytes are unchanged; `steps`
+  // shared DynaRISC->VeRISC translation cache applies across every frame
+  // of the restore. Output bytes are unchanged; `steps`
   // counts the VeRisc instructions the engine actually retired.
   if ((vm == nullptr || vm == &verisc::Run) &&
       interpreter.words == olonys::DynaRiscInterpreter().words) {

@@ -1,5 +1,6 @@
 #include "dbcoder/columnar.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -90,9 +91,15 @@ std::optional<int64_t> ParseExactDecimal(const std::string& s, int scale) {
   return neg ? -v : v;
 }
 
+/// Decimal scales a stream may carry: the encoder writes 1..9, and every
+/// scale up to 19 keeps 10^scale inside uint64_t.
+constexpr int kMaxDecimalScale = 19;
+
 std::string FormatDecimal(int64_t v, int scale) {
   const bool neg = v < 0;
-  uint64_t a = neg ? static_cast<uint64_t>(-v) : static_cast<uint64_t>(v);
+  // Magnitude via unsigned negation: well defined for INT64_MIN too.
+  const uint64_t a =
+      neg ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v);
   uint64_t pow10 = 1;
   for (int i = 0; i < scale; ++i) pow10 *= 10;
   std::string frac = std::to_string(a % pow10);
@@ -139,6 +146,11 @@ std::optional<int64_t> ParseExactDate(const std::string& s) {
   if (yy != y || mm != m || dd != d) return std::nullopt;
   return days;
 }
+
+/// Day numbers of 0000-01-01 and 9999-12-31: the only dates the encoder
+/// accepts (four-digit years), and a range CivilFromDays handles exactly.
+constexpr int64_t kMinDay = -719528;
+constexpr int64_t kMaxDay = 2932896;
 
 std::string FormatDate(int64_t days) {
   int y, m, d;
@@ -341,40 +353,78 @@ void EncodeColumn(const std::vector<std::vector<std::string>>& rows, size_t col,
   }
 }
 
-Status DecodeColumn(ByteReader* r, size_t row_count,
+/// prev += delta for a delta-coded column, failing on int64 overflow
+/// (only a corrupt stream overflows: the encoder's deltas come from
+/// values that fit).
+Status AddDelta(ByteReader* r, int64_t* prev) {
+  uint64_t zz;
+  ULE_RETURN_IF_ERROR(GetVarint(r, &zz));
+  if (__builtin_add_overflow(*prev, UnZigZag(zz), prev)) {
+    return Status::Corruption("columnar: delta overflow");
+  }
+  return Status::OK();
+}
+
+/// Decodes one column of `row_count` values. `*budget` is how many output
+/// bytes the section's columns may still produce, and shrinks by what this
+/// column materialises (values plus separators); exceeding it means a
+/// corrupt stream. Every row of a delta or dict column costs at least one
+/// stream byte, which bounds `row_count` before anything is reserved.
+Status DecodeColumn(ByteReader* r, size_t row_count, size_t* budget,
                     std::vector<std::string>* out) {
   out->clear();
-  out->reserve(row_count);
   uint8_t kind;
   ULE_RETURN_IF_ERROR(r->GetU8(&kind));
+  if (kind != kColBlob && row_count > r->remaining()) {
+    return Status::Corruption("columnar: row count exceeds stream");
+  }
+  if (kind == kColBlob && row_count > *budget) {
+    return Status::Corruption("columnar: row count exceeds output");
+  }
+  out->reserve(row_count);
+  auto emit = [&](std::string value) {
+    const size_t cost = value.size() + 1;  // + the separator
+    if (cost > *budget) {
+      return Status::Corruption("columnar: column exceeds output length");
+    }
+    *budget -= cost;
+    out->push_back(std::move(value));
+    return Status::OK();
+  };
   switch (kind) {
     case kColInt:
     case kColDate: {
       int64_t prev = 0;
       for (size_t i = 0; i < row_count; ++i) {
-        uint64_t zz;
-        ULE_RETURN_IF_ERROR(GetVarint(r, &zz));
-        prev += UnZigZag(zz);
-        out->push_back(kind == kColInt ? std::to_string(prev)
-                                       : FormatDate(prev));
+        ULE_RETURN_IF_ERROR(AddDelta(r, &prev));
+        if (kind == kColDate && (prev < kMinDay || prev > kMaxDay)) {
+          return Status::Corruption("columnar: date out of range");
+        }
+        ULE_RETURN_IF_ERROR(emit(kind == kColInt ? std::to_string(prev)
+                                                 : FormatDate(prev)));
       }
       return Status::OK();
     }
     case kColDecimal: {
       uint8_t scale;
       ULE_RETURN_IF_ERROR(r->GetU8(&scale));
+      if (scale < 1 || scale > kMaxDecimalScale) {
+        return Status::Corruption("columnar: bad decimal scale");
+      }
       int64_t prev = 0;
       for (size_t i = 0; i < row_count; ++i) {
-        uint64_t zz;
-        ULE_RETURN_IF_ERROR(GetVarint(r, &zz));
-        prev += UnZigZag(zz);
-        out->push_back(FormatDecimal(prev, scale));
+        ULE_RETURN_IF_ERROR(AddDelta(r, &prev));
+        ULE_RETURN_IF_ERROR(emit(FormatDecimal(prev, scale)));
       }
       return Status::OK();
     }
     case kColDict: {
       uint64_t dict_size;
       ULE_RETURN_IF_ERROR(GetVarint(r, &dict_size));
+      // Each entry costs at least its one-byte length.
+      if (dict_size > r->remaining()) {
+        return Status::Corruption("columnar: dict size exceeds stream");
+      }
       std::vector<std::string> dict;
       dict.reserve(dict_size);
       for (uint64_t i = 0; i < dict_size; ++i) {
@@ -388,7 +438,7 @@ Status DecodeColumn(ByteReader* r, size_t row_count,
         uint8_t id;
         ULE_RETURN_IF_ERROR(r->GetU8(&id));
         if (id >= dict.size()) return Status::Corruption("dict id range");
-        out->push_back(dict[id]);
+        ULE_RETURN_IF_ERROR(emit(dict[id]));
       }
       return Status::OK();
     }
@@ -396,6 +446,10 @@ Status DecodeColumn(ByteReader* r, size_t row_count,
       uint64_t raw_len, packed_len;
       ULE_RETURN_IF_ERROR(GetVarint(r, &raw_len));
       ULE_RETURN_IF_ERROR(GetVarint(r, &packed_len));
+      if (raw_len > *budget) {
+        return Status::Corruption("columnar: blob exceeds output length");
+      }
+      *budget -= raw_len;  // the rows partition the blob's text
       Bytes packed;
       ULE_RETURN_IF_ERROR(r->GetBytes(packed_len, &packed));
       ULE_ASSIGN_OR_RETURN(Bytes joined,
@@ -472,7 +526,10 @@ Result<Bytes> ColumnarEncode(BytesView raw) {
 Result<Bytes> ColumnarDecode(BytesView stream, size_t raw_len) {
   ByteReader r(stream);
   std::string out;
-  out.reserve(raw_len);
+  // The header's length is only a claim: reserve what a stream of this
+  // size plausibly produces, and fail as soon as the output outgrows it.
+  out.reserve(std::min(raw_len, stream.size() * 16));
+  auto left = [&]() { return out.size() <= raw_len ? raw_len - out.size() : 0; };
   while (true) {
     uint8_t tag;
     ULE_RETURN_IF_ERROR(r.GetU8(&tag));
@@ -481,6 +538,9 @@ Result<Bytes> ColumnarDecode(BytesView stream, size_t raw_len) {
       uint64_t text_len, packed_len;
       ULE_RETURN_IF_ERROR(GetVarint(&r, &text_len));
       ULE_RETURN_IF_ERROR(GetVarint(&r, &packed_len));
+      if (text_len > left()) {
+        return Status::Corruption("columnar: text exceeds output length");
+      }
       Bytes packed;
       ULE_RETURN_IF_ERROR(r.GetBytes(packed_len, &packed));
       ULE_ASSIGN_OR_RETURN(Bytes text, LzacDecodeForColumnar(packed, text_len));
@@ -492,9 +552,14 @@ Result<Bytes> ColumnarDecode(BytesView stream, size_t raw_len) {
       ULE_RETURN_IF_ERROR(r.GetBytes(header_len, &header));
       ULE_RETURN_IF_ERROR(GetVarint(&r, &row_count));
       ULE_RETURN_IF_ERROR(GetVarint(&r, &col_count));
+      // Each column costs at least its kind byte; each row at least '\n'.
+      if (col_count > r.remaining() || row_count > left()) {
+        return Status::Corruption("columnar: COPY shape exceeds stream");
+      }
       std::vector<std::vector<std::string>> cols(col_count);
+      size_t budget = left();
       for (size_t c = 0; c < col_count; ++c) {
-        ULE_RETURN_IF_ERROR(DecodeColumn(&r, row_count, &cols[c]));
+        ULE_RETURN_IF_ERROR(DecodeColumn(&r, row_count, &budget, &cols[c]));
       }
       out += ToString(header);
       for (size_t i = 0; i < row_count; ++i) {
@@ -503,6 +568,9 @@ Result<Bytes> ColumnarDecode(BytesView stream, size_t raw_len) {
           out += cols[c][i];
         }
         out.push_back('\n');
+        if (out.size() > raw_len) {
+          return Status::Corruption("columnar: output exceeds length");
+        }
       }
       out += "\\.\n";
     } else {

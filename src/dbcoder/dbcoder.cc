@@ -1,5 +1,7 @@
 #include "dbcoder/dbcoder.h"
 
+#include <algorithm>
+
 #include "dbcoder/columnar.h"
 #include "dbcoder/lz77.h"
 #include "dbcoder/rangecoder.h"
@@ -38,6 +40,13 @@ Bytes LzssEncode(BytesView raw) {
 }
 
 Result<Bytes> LzssDecode(BytesView stream, size_t raw_len) {
+  // Each token costs at least 9 bits, and at most 19 bits buy kMaxMatch
+  // bytes: a length the stream cannot produce is corrupt, and never
+  // reserved.
+  const uint64_t bits = static_cast<uint64_t>(stream.size()) * 8;
+  if (raw_len > bits / 19 * kMaxMatch + bits % 19 / 9 * kMaxMatch) {
+    return Status::Corruption("LZSS: length exceeds what the stream holds");
+  }
   BitReader r(stream);
   Bytes out;
   out.reserve(raw_len);
@@ -139,9 +148,14 @@ Result<Bytes> LzacDecode(BytesView stream, size_t raw_len) {
   RangeDecoder dec(stream);
   LzacContexts ctx;
   Bytes out;
-  out.reserve(raw_len);
+  // Arithmetic coding has no hard expansion limit, so the header's length
+  // is only a claim: reserve what a stream this size plausibly yields.
+  out.reserve(std::min<size_t>(raw_len, stream.size() * 64));
   bool prev_match = false;
   while (out.size() < raw_len) {
+    if (dec.overran()) {
+      return Status::Corruption("LZAC: stream ends before the claimed length");
+    }
     uint8_t* flag_ctx = ctx.at(prev_match ? kCtxFlagMatch : kCtxFlagLit);
     if (dec.DecodeBit(flag_ctx) == 0) {
       out.push_back(static_cast<uint8_t>(TreeDecode(&dec, &ctx, kCtxLiteral, 8)));

@@ -70,12 +70,21 @@ class RangeDecoder {
   int DecodeBit(uint8_t* prob);
 
   size_t position() const { return pos_; }
+  /// True once a zero byte had to be supplied past the end. A stream from
+  /// RangeEncoder::Finish never needs one, so a decoder that still has
+  /// symbols to produce at that point is reading a corrupt stream.
+  bool overran() const { return overran_; }
 
  private:
-  uint8_t NextByte() { return pos_ < data_.size() ? data_[pos_++] : 0; }
+  uint8_t NextByte() {
+    if (pos_ < data_.size()) return data_[pos_++];
+    overran_ = true;
+    return 0;
+  }
 
   BytesView data_;
   size_t pos_ = 0;
+  bool overran_ = false;
   uint32_t range_ = 0xFFFF;
   uint32_t code_ = 0;
 };

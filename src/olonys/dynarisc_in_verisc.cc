@@ -32,20 +32,7 @@ uint64_t NestedSliceSteps() {
 
 /// Generates the interpreter. Structured as one long emitter; every guest
 /// architectural element is an interpreter cell, every opcode a handler.
-///
-/// With `warm_out` set, generates the warm-start variant instead: no table
-/// fill and no input-protocol startup (the host pokes the static tables,
-/// the guest image and the entry point directly), and the cold main loop's
-/// fetch + table decode is replaced by one dispatch through the
-/// per-address predecode tables, with per-opcode prologues reading the
-/// instruction's predecoded rd/rs/mode fields. STM and CALL redirect the
-/// handler-table entries covering every byte they overwrite to a redecode
-/// routine, which keeps predecode coherent under guest self-modification.
-/// Guest-visible semantics are identical by construction: both variants
-/// share every handler body, and immediates are always fetched live from
-/// guest memory.
-verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
-  const bool warm = warm_out != nullptr;
+verisc::Program BuildInterpreter() {
   Builder b;
 
   // ---- guest architectural state ----
@@ -95,19 +82,7 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   const Cell f_vstep = b.NewCell();
   const Cell f_v = b.NewCell();
   const Cell f_k = b.NewCell();
-  Fn fill{};  // cold only: warm tables are host-poked, never filled
-  if (!warm) fill = b.DeclareFn();
-
-  // Warm-only plumbing: the redecode routine's address (for invalidation
-  // stores) and an address scratch cell for the `ptr - 1` computation.
-  Label redecode{};
-  Cell redec_c{};
-  Cell inv_a{};
-  if (warm) {
-    redecode = b.NewLabel();
-    redec_c = b.NewLabelCell(redecode);
-    inv_a = b.NewCell();
-  }
+  const Fn fill = b.DeclareFn();
 
   // ---- helper functions ----
   const Fn fetch = b.DeclareFn();   // fetched <- next guest word; GPC += 2
@@ -120,7 +95,7 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   b.Jmp(start);
 
   // ---------------------------------------------------------------- fill
-  if (!warm) {
+  {
     b.BeginFn(fill);
     b.LdImm(0);
     b.St(f_v);
@@ -148,40 +123,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     b.Jnz(loop);
     b.Ret(fill);
   }
-
-  // Warm handler prologue: read the instruction's predecoded fields, then
-  // step GPC past the instruction word (the cold main loop does both via
-  // fetch + table decode before dispatching).
-  auto warm_prologue = [&](bool rd, bool rs, bool mode) {
-    if (!warm) return;
-    if (rd) {
-      b.LdIndexedAbs(kRdIdxBase, gpc);
-      b.St(rdc);
-    }
-    if (rs) {
-      b.LdIndexedAbs(kRsIdxBase, gpc);
-      b.St(rsc);
-    }
-    if (mode) {
-      b.LdIndexedAbs(kModeIdxBase, gpc);
-      b.St(modec);
-    }
-    b.Ld(gpc);
-    b.AddImm(2);
-    b.AndImm(0xFFFF);
-    b.St(gpc);
-  };
-
-  // Warm: the guest just overwrote the byte at guest address mem[addr];
-  // any instruction covering that byte must be redecoded before it runs
-  // again, so point its handler entry at the redecode routine. (Stale
-  // rd/rs/mode entries are harmless: execution always routes through the
-  // handler table, and redecode refreshes all four.)
-  auto warm_invalidate = [&](Cell addr) {
-    if (!warm) return;
-    b.Ld(redec_c);
-    b.StIndexedAbs(kHandlerBase, addr);
-  };
 
   // --------------------------------------------------------------- fetch
   b.BeginFn(fetch);
@@ -275,12 +216,7 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
 
   // ------------------------------------------------------------- startup
   b.Bind(start);
-  if (warm) {
-    // The host has already poked the static tables, the guest image, the
-    // predecode tables and the entry point; the input port carries only
-    // the guest's own stream. Nothing to set up.
-    b.Jmp(mainloop);
-  } else {
+  {
     // Fill LSR1: period 2 (pmask 1), step 1, no wrap.
     auto call_fill = [&](uint32_t dst, uint32_t count, uint32_t pmask,
                          uint32_t vmask, uint32_t vstep) {
@@ -351,12 +287,7 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
 
   // ------------------------------------------------------------ mainloop
   b.Bind(mainloop);
-  if (warm) {
-    // PC <- handler[gpc]: one predecoded dispatch replaces the cold
-    // loop's fetch call and three table lookups.
-    b.LdIndexedAbs(kHandlerBase, gpc);
-    b.StMapped(1);
-  } else {
+  {
     b.Call(fetch);
     b.LdIndexedAbs(kOpBase, fetched);
     b.St(opc);
@@ -375,7 +306,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ------------------------------------------------------------ ADD / ADC
   for (const bool with_carry : {false, true}) {
     b.Bind(handlers[with_carry ? dynarisc::kAdc : dynarisc::kAdd]);
-    warm_prologue(true, true, false);
     b.Call(load_ab);
     b.Ld(va);
     b.AddCell(vb);
@@ -392,7 +322,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ------------------------------------------------------ SUB / SBB / CMP
   for (const uint8_t op : {dynarisc::kSub, dynarisc::kSbb, dynarisc::kCmp}) {
     b.Bind(handlers[op]);
-    warm_prologue(true, true, false);
     b.Call(load_ab);
     if (op == dynarisc::kSbb) {
       b.Ld(vb);
@@ -417,7 +346,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ----------------------------------------------------------------- MUL
   {
     b.Bind(handlers[dynarisc::kMul]);
-    warm_prologue(true, true, false);
     b.Call(load_ab);
     b.LdImm(0);
     b.St(plo);
@@ -509,7 +437,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ------------------------------------------------------- AND / OR / XOR
   {
     b.Bind(handlers[dynarisc::kAnd]);
-    warm_prologue(true, true, false);
     b.Call(load_ab);
     b.Ld(va);
     b.And(vb);
@@ -519,7 +446,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
 
     // OR  = a + b - (a & b); XOR = a + b - 2*(a & b). Both fit in 32 bits.
     b.Bind(handlers[dynarisc::kOr]);
-    warm_prologue(true, true, false);
     b.Call(load_ab);
     b.Ld(va);
     b.And(vb);
@@ -532,7 +458,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     b.Jmp(mainloop);
 
     b.Bind(handlers[dynarisc::kXor]);
-    warm_prologue(true, true, false);
     b.Call(load_ab);
     b.Ld(va);
     b.And(vb);
@@ -556,7 +481,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     for (int s = 0; s < 4; ++s) {
       const uint8_t op = static_cast<uint8_t>(dynarisc::kLsl + s);
       b.Bind(handlers[op]);
-      warm_prologue(true, true, true);
       // amount: mode bit0 ? rs | (mode bit1 ? 8 : 0) : R[rs] & 15
       const Label from_reg = b.NewLabel();
       const Label have_amt = b.NewLabel();
@@ -664,7 +588,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ---------------------------------------------------------------- MOVE
   {
     b.Bind(handlers[dynarisc::kMove]);
-    warm_prologue(true, true, true);
     const Label src_d = b.NewLabel();
     const Label src_hi = b.NewLabel();
     const Label have_src = b.NewLabel();
@@ -710,7 +633,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ----------------------------------------------------------------- LDI
   {
     b.Bind(handlers[dynarisc::kLdi]);
-    warm_prologue(true, false, false);
     b.Call(fetch);
     b.Ld(fetched);
     b.St(val);
@@ -721,7 +643,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ----------------------------------------------------------------- LDM
   {
     b.Bind(handlers[dynarisc::kLdm]);
-    warm_prologue(true, true, true);
     const Label byte_access = b.NewLabel();
     const Label no_inc = b.NewLabel();
     b.Ld(rsc);
@@ -765,7 +686,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ----------------------------------------------------------------- STM
   {
     b.Bind(handlers[dynarisc::kStm]);
-    warm_prologue(true, true, true);
     const Label byte_access = b.NewLabel();
     const Label no_inc = b.NewLabel();
     b.Ld(rdc);
@@ -778,15 +698,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     b.Ld(val);
     b.AndImm(0xFF);
     b.StIndexedAbs(kGuestBase, ptr);
-    if (warm) {
-      // A 2-byte instruction starting at ptr-1 or ptr covers this byte.
-      b.Ld(ptr);
-      b.SubImm(1);
-      b.AndImm(0xFFFF);
-      b.St(inv_a);
-      warm_invalidate(inv_a);
-      warm_invalidate(ptr);
-    }
     b.Ld(modec);
     b.AndImm(dynarisc::kModeWord);
     b.Jz(byte_access);
@@ -796,7 +707,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     b.St(ptr2);
     b.LdIndexedAbs(kShr8Base, val);
     b.StIndexedAbs(kGuestBase, ptr2);
-    warm_invalidate(ptr2);
     b.Bind(byte_access);
     b.Ld(modec);
     b.AndImm(dynarisc::kModePostInc);
@@ -816,14 +726,12 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ------------------------------------------- JUMP / JZ / JC / CALL / RET
   {
     b.Bind(handlers[dynarisc::kJump]);
-    warm_prologue(false, false, false);
     b.Call(fetch);
     b.Ld(fetched);
     b.St(gpc);
     b.Jmp(mainloop);
 
     b.Bind(handlers[dynarisc::kJz]);
-    warm_prologue(false, false, false);
     b.Call(fetch);
     b.Ld(gz);
     {
@@ -836,7 +744,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     b.Jmp(mainloop);
 
     b.Bind(handlers[dynarisc::kJc]);
-    warm_prologue(false, false, false);
     b.Call(fetch);
     b.Ld(gc);
     {
@@ -849,7 +756,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     b.Jmp(mainloop);
 
     b.Bind(handlers[dynarisc::kCall]);
-    warm_prologue(false, false, false);
     b.Call(fetch);
     // D3 -= 2; guest[D3] = pc.lo; guest[D3+1] = pc.hi; pc = fetched.
     b.Ld(Builder::At(gd, 3));
@@ -866,22 +772,11 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
     b.St(ptr2);
     b.LdIndexedAbs(kShr8Base, gpc);
     b.StIndexedAbs(kGuestBase, ptr2);
-    if (warm) {
-      // The pushed return address overwrote guest bytes ptr and ptr2.
-      b.Ld(ptr);
-      b.SubImm(1);
-      b.AndImm(0xFFFF);
-      b.St(inv_a);
-      warm_invalidate(inv_a);
-      warm_invalidate(ptr);
-      warm_invalidate(ptr2);
-    }
     b.Ld(fetched);
     b.St(gpc);
     b.Jmp(mainloop);
 
     b.Bind(handlers[dynarisc::kRet]);
-    warm_prologue(false, false, false);
     b.Ld(Builder::At(gd, 3));
     b.St(ptr);
     b.AddImm(1);
@@ -904,7 +799,6 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   // ----------------------------------------------------------------- SYS
   {
     b.Bind(handlers[dynarisc::kSys]);
-    warm_prologue(false, false, true);
     const Label sys_read = b.NewLabel();
     const Label sys_write = b.NewLabel();
     b.Ld(modec);
@@ -944,52 +838,13 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   b.Bind(halt_handler);
   b.Halt();
 
-  // ------------------------------------------------------------- redecode
-  if (warm) {
-    // An invalidated handler entry lands here. Recompute the four
-    // predecode words for the instruction at GPC from the live guest
-    // bytes (exactly the cold fetch + table decode), then re-dispatch:
-    // H[gpc] is fresh now, so the main loop reaches the real handler.
-    b.Bind(redecode);
-    b.LdIndexedAbs(kGuestBase, gpc);
-    b.St(h0);
-    b.Ld(gpc);
-    b.AddImm(1);
-    b.AndImm(0xFFFF);
-    b.St(h1);
-    b.LdIndexedAbs(kGuestBase, h1);
-    b.St(h2);
-    b.LdIndexedAbs(kShl8Base, h2);
-    b.AddCell(h0);
-    b.St(fetched);
-    b.LdIndexedAbs(kOpBase, fetched);
-    b.St(opc);
-    b.LdIndexed(jt, opc);
-    b.StIndexedAbs(kHandlerBase, gpc);
-    b.LdIndexedAbs(kRdBase, fetched);
-    b.StIndexedAbs(kRdIdxBase, gpc);
-    b.LdIndexedAbs(kRsBase, fetched);
-    b.StIndexedAbs(kRsIdxBase, gpc);
-    b.Ld(fetched);
-    b.AndImm(31);
-    b.StIndexedAbs(kModeIdxBase, gpc);
-    b.Jmp(mainloop);
-  }
-
   auto built = b.Build();
   assert(built.ok() && "interpreter generation failed");
-  verisc::Program program = built.TakeValue();
-  if (warm_out) {
-    warm_out->gpc_addr = b.CellAddress(gpc);
-    for (int i = 0; i < 32; ++i) {
-      warm_out->handler_addr[i] = b.LabelAddress(handlers[i]);
-    }
-  }
-  return program;
+  return built.TakeValue();
 }
 
 /// Drives a loaded machine to completion in bounded slices, honouring the
-/// caller's step budget. Shared by the cold and warm reference paths.
+/// caller's step budget. Shared by the cold and translated reference paths.
 Result<Bytes> DriveMachine(verisc::Machine& machine,
                            const verisc::RunOptions& options) {
   const uint64_t slice = NestedSliceSteps();
@@ -1012,17 +867,8 @@ Result<Bytes> DriveMachine(verisc::Machine& machine,
 }  // namespace
 
 const verisc::Program& DynaRiscInterpreter() {
-  static const verisc::Program kProgram = BuildInterpreter(nullptr);
+  static const verisc::Program kProgram = BuildInterpreter();
   return kProgram;
-}
-
-const WarmInterpreter& WarmDynaRiscInterpreter() {
-  static const WarmInterpreter kWarm = [] {
-    WarmInterpreter w;
-    w.program = BuildInterpreter(&w);
-    return w;
-  }();
-  return kWarm;
 }
 
 void SetNestedSliceStepsForTest(uint64_t steps) {
@@ -1053,58 +899,43 @@ Result<Bytes> RunNested(const dynarisc::Program& program, BytesView input,
   if (reference) {
     // Reference path: drive the execution engine incrementally, in
     // bounded slices, instead of one monolithic run. The per-thread
-    // machine keeps its 4 MiB memory image across nested invocations,
-    // and the slice loop is where future callers can interleave progress
-    // reporting or cancellation without touching the engine.
+    // machine keeps its 4 MiB memory image across nested invocations.
     verisc::Machine& machine = verisc::ThreadLocalMachine();
+    verisc::RunOptions cold_options = options;
+    uint64_t spent = 0;
+    uint64_t spent_fused = 0;
 
     if (mode != NestedMode::kCold) {
-      // Warm path: the shared translation cache has already expanded the
-      // guest image and predecoded every guest address, so poke that
-      // state straight into machine memory and start in the dispatch
-      // loop — no table fill, no header parse, no byte-by-byte copy.
+      // Translated path: run the cached straight-line VeRisc translation
+      // of the guest directly; the input port carries the guest's stream.
       bool cache_hit = false;
       TranslationCache::EntryPtr entry =
           TranslationCache::Global().Acquire(program, &cache_hit);
-      const WarmInterpreter& warm = WarmDynaRiscInterpreter();
-
-      // The 1 MiB of static shift/decode tables survives across frames
-      // as long as nobody else re-loaded this thread's machine since our
-      // last run (load_seq detects any interleaved Load).
-      static thread_local const verisc::Machine* resident_machine = nullptr;
-      static thread_local uint64_t resident_seq = 0;
-      const bool resident = resident_machine == &machine &&
-                            resident_seq == machine.load_seq() &&
-                            resident_seq != 0;
-      if (resident) {
-        ULE_RETURN_IF_ERROR(machine.LoadNoZero(warm.program));
-      } else {
-        ULE_RETURN_IF_ERROR(machine.Load(warm.program));
-        const StaticTables& tables = WarmStaticTables();
-        machine.WriteWords(kLsr1Base, tables.low.data(), tables.low.size());
-        machine.WriteWords(kShr8Base, tables.high.data(),
-                           tables.high.size());
-      }
-      machine.WriteWords(kGuestBase, entry->guest_words.data(),
-                         entry->guest_words.size());
-      machine.WriteWords(kHandlerBase, entry->decode_words.data(),
-                         entry->decode_words.size());
-      const uint32_t entry_word = entry->entry_point;
-      machine.WriteWords(warm.gpc_addr, &entry_word, 1);
-      resident_machine = &machine;
-      resident_seq = machine.load_seq();
-      // No archival input protocol: the port carries the guest stream.
-      machine.SetInput(input);
-
-      Result<Bytes> out = DriveMachine(machine, options);
       if (stats != nullptr) {
-        const verisc::Machine::RunStats rs = machine.LastRunStats();
         stats->translated = true;
         stats->cache_hit = cache_hit;
-        stats->steps = rs.retired;
-        stats->fused = rs.fused;
       }
-      return out;
+      if (entry->translated) {
+        ULE_RETURN_IF_ERROR(LoadTranslation(*entry, machine));
+        machine.SetInput(input);
+        Result<Bytes> out = DriveMachine(machine, options);
+        const verisc::Machine::RunStats rs = machine.LastRunStats();
+        if (machine.state() != verisc::MachineState::kFault) {
+          if (stats != nullptr) {
+            stats->steps = rs.retired;
+            stats->fused = rs.fused;
+          }
+          return out;
+        }
+        // A translated program only faults by bailing: a store into
+        // translated code, or a RET to an address that is no return site.
+        spent = rs.retired;
+        spent_fused = rs.fused;
+      }
+      // Bail: discard the attempt and run the archival interpreter on the
+      // budget that is left.
+      if (stats != nullptr) stats->bailed = true;
+      cold_options.max_steps = options.max_steps - spent;
     }
 
     // Cold path: the archived interpreter bootstraps itself from the
@@ -1112,11 +943,11 @@ Result<Bytes> RunNested(const dynarisc::Program& program, BytesView input,
     const Bytes packed = PackNestedInput(program, input);
     ULE_RETURN_IF_ERROR(machine.Load(DynaRiscInterpreter()));
     machine.SetInput(packed);
-    Result<Bytes> out = DriveMachine(machine, options);
+    Result<Bytes> out = DriveMachine(machine, cold_options);
     if (stats != nullptr) {
       const verisc::Machine::RunStats rs = machine.LastRunStats();
-      stats->steps = rs.retired;
-      stats->fused = rs.fused;
+      stats->steps = spent + rs.retired;
+      stats->fused = spent_fused + rs.fused;
     }
     return out;
   }

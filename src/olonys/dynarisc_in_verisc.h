@@ -38,7 +38,6 @@
 #ifndef ULE_OLONYS_DYNARISC_IN_VERISC_H_
 #define ULE_OLONYS_DYNARISC_IN_VERISC_H_
 
-#include <array>
 #include <cstdint>
 
 #include "dynarisc/machine.h"
@@ -58,39 +57,10 @@ inline constexpr uint32_t kGuestBase = 0x50000;
 inline constexpr uint32_t kShr8Base = 0x60000;
 inline constexpr uint32_t kShl8Base = 0x70000;
 
-/// Per-guest-address predecode tables used only by the warm-start
-/// interpreter variant (never archived; a future implementer sees only the
-/// cold layout above). `handler[a]` is the VeRisc address of the handler
-/// for the instruction starting at guest address `a`; the other three hold
-/// its decoded rd/rs/mode fields. Host-computed by the translation cache;
-/// kept coherent under guest self-modification by STM/CALL invalidation.
-inline constexpr uint32_t kHandlerBase = 0x80000;
-inline constexpr uint32_t kRdIdxBase = 0x90000;
-inline constexpr uint32_t kRsIdxBase = 0xA0000;
-inline constexpr uint32_t kModeIdxBase = 0xB0000;
-
 /// Returns the (memoised) DynaRisc interpreter as a VeRisc program.
 /// Generation is deterministic: the same program words on every call and
 /// every platform, which is what makes it archivable.
 const verisc::Program& DynaRiscInterpreter();
-
-/// \brief The warm-start interpreter variant plus its host-poke metadata.
-///
-/// Same guest semantics as DynaRiscInterpreter(), but it skips the startup
-/// work entirely (no table fill, no header parse, no image copy) and
-/// dispatches through the per-address predecode tables: the host loads the
-/// static tables, the guest image, the predecoded handler/operand tables
-/// and the entry point directly into machine memory, and the input port
-/// carries only the guest's own input stream. This program is an engine
-/// acceleration — it is never archived and never leaves this process.
-struct WarmInterpreter {
-  verisc::Program program;
-  /// Cell address to poke with the guest entry point before running.
-  uint32_t gpc_addr = 0;
-  /// VeRisc handler address per 5-bit guest opcode (23..31 = halt).
-  std::array<uint32_t, 32> handler_addr{};
-};
-const WarmInterpreter& WarmDynaRiscInterpreter();
 
 /// Packs a DynaRisc program and its input stream into the interpreter's
 /// input protocol described above.
@@ -100,14 +70,15 @@ Bytes PackNestedInput(const dynarisc::Program& program, BytesView input);
 enum class NestedMode {
   kAuto,        ///< translated when available, else cold
   kCold,        ///< always boot the archived interpreter from the ports
-  kTranslated,  ///< require the cached-translation warm path
+  kTranslated,  ///< require the cached translation (reference engine only)
 };
 
 /// Observability for one RunNested call (bench/test instrumentation).
 struct NestedRunStats {
-  bool translated = false;   ///< warm path taken
+  bool translated = false;   ///< translated path attempted
   bool cache_hit = false;    ///< translation served from the shared cache
-  uint64_t steps = 0;        ///< VeRisc instructions retired
+  bool bailed = false;       ///< translated attempt abandoned; ran cold
+  uint64_t steps = 0;        ///< VeRisc instructions retired (both runs)
   uint64_t fused = 0;        ///< of those, retired in fused superinstructions
 };
 
@@ -120,11 +91,15 @@ struct NestedRunStats {
 /// hitting an illegal opcode, which the archived interpreter defines as
 /// halt) ends the run.
 ///
-/// On the reference engine the guest's instruction stream is predecoded
-/// once per program via the shared translation cache and later frames skip
-/// the interpreter's startup and fetch/decode work (`mode` selects the
-/// path explicitly for tests; foreign `vm` implementations always take the
-/// cold archival protocol). Output bytes are identical on every path.
+/// On the reference engine the guest is translated once per program into
+/// straight-line VeRisc code via the shared translation cache
+/// (translation_cache.h) and runs without the interpreter. A translated
+/// run that bails (the guest stores into its own code, returns to an
+/// address that is not a return site, or is too large to translate)
+/// re-runs on the cold archived interpreter within the remaining step
+/// budget. `mode` selects the path explicitly for tests; foreign `vm`
+/// implementations always take the cold archival protocol. Output bytes
+/// are identical on every path.
 Result<Bytes> RunNested(const dynarisc::Program& program, BytesView input,
                         const verisc::RunOptions& options = {},
                         verisc::VmFunction vm = &verisc::Run,

@@ -291,6 +291,7 @@ Result<Program> Builder::Build() {
     uint32_t addr = 0;
     switch (e.ref.kind) {
       case OperandRef::kMappedAddr:
+      case OperandRef::kAbsAddr:
         addr = e.ref.index;
         break;
       case OperandRef::kCellRef:
@@ -353,8 +354,8 @@ void Builder::AppendFusionPlan(Program& p) const {
   // so no static pairing across them is sound.
   std::vector<char> is_slot(code_.size(), 0);
   for (uint32_t s : patch_slots_) is_slot[s] = 1;
-  // Cell and label operands both resolve to addresses >= kProgramOrigin, so
-  // any non-mapped operand is a plain memory access.
+  // Cell, label and absolute operands all resolve to addresses >=
+  // kProgramOrigin, so any non-mapped operand is a plain memory access.
   auto plain = [&](size_t i, Opcode op) {
     return !is_slot[i] && code_[i].op == op &&
            code_[i].ref.kind != OperandRef::kMappedAddr;

@@ -117,6 +117,29 @@ class Builder {
   /// mem[abs_base + mem[index]] <- R
   void StIndexedAbs(uint32_t abs_base, Cell index);
 
+  // ---- code generators (translators) ----
+
+  /// Pooled read-only cell holding `v` (shared with the macros' pool).
+  Cell Const(uint32_t v) { return PoolConst(ConstSpec{v, -1, -1, false}); }
+  /// Pooled cell holding the address of cell `c`.
+  Cell CellAddrConst(Cell c) {
+    return PoolConst(ConstSpec{0, -1, static_cast<int>(c.id), false});
+  }
+  /// Pooled cell holding the address of label `l` (bound before or after).
+  Cell LabelConst(Label l) {
+    return PoolConst(ConstSpec{0, static_cast<int>(l.id), -1, false});
+  }
+  /// LD/ST of a fixed word outside the program image (a table or region
+  /// the host pokes, e.g. a translated guest's memory).
+  void LdAbs(uint32_t addr) { EmitAbs(kLd, addr); }
+  void StAbs(uint32_t addr) { EmitAbs(kSt, addr); }
+  /// ST to the code word bound at `slot`: patches a PatchSlot placeholder
+  /// with the instruction word currently in R.
+  void StSlot(Label slot) { Emit(kSt, LabelOp(slot)); }
+  /// Binds `slot` to a placeholder word that earlier code patches (via
+  /// StSlot) before it executes. Placeholders are never fused.
+  void Slot(Label slot) { PatchSlot(slot); }
+
   // ---- macros: I/O ----
 
   void InByte() { LdMapped(3); }   ///< R <- next input byte / 0xFFFFFFFF
@@ -125,14 +148,8 @@ class Builder {
   /// Number of instruction words emitted so far.
   size_t code_size() const { return code_.size(); }
 
-  /// Absolute address of a cell in the built image. Only meaningful once
-  /// all code has been emitted (layout places data after the code words);
-  /// call after Build() succeeded. Used by hosts that poke machine state
-  /// directly (e.g. the warm-start nested interpreter).
-  uint32_t CellAddress(Cell c) const {
-    return kProgramOrigin + static_cast<uint32_t>(code_.size()) + c.id;
-  }
-  /// Absolute address of a bound label in the built image.
+  /// Absolute address of a bound label in the built image (e.g. a
+  /// translated block start a host pokes into a dispatch table).
   uint32_t LabelAddress(Label l) const {
     assert(label_pos_[l.id] >= 0 && "label not bound");
     return kProgramOrigin + static_cast<uint32_t>(label_pos_[l.id]);
@@ -147,8 +164,8 @@ class Builder {
  private:
   // Operand of an emitted instruction, resolved at Build() time.
   struct OperandRef {
-    enum Kind { kMappedAddr, kCellRef, kLabelRef } kind = kMappedAddr;
-    uint32_t index = 0;  // mapped address / cell id / label id
+    enum Kind { kMappedAddr, kCellRef, kLabelRef, kAbsAddr } kind = kMappedAddr;
+    uint32_t index = 0;  // mapped address / cell id / label id / address
   };
   struct Emitted {
     Opcode op;
@@ -177,6 +194,10 @@ class Builder {
   };
 
   void Emit(Opcode op, OperandRef ref);
+  void EmitAbs(Opcode op, uint32_t addr) {
+    assert(addr >= (1u << 16) && addr < kMemoryWords);
+    Emit(op, OperandRef{OperandRef::kAbsAddr, addr});
+  }
   void AppendFusionPlan(Program& p) const;
   OperandRef CellOp(Cell c) { return {OperandRef::kCellRef, c.id}; }
   OperandRef LabelOp(Label l) { return {OperandRef::kLabelRef, l.id}; }

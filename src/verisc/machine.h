@@ -112,14 +112,14 @@ class Machine {
   /// \brief Load variant that skips the dirty-region re-zero.
   ///
   /// The caller promises to overwrite — or not depend on — every word it
-  /// previously dirtied beyond the program image. Used by the warm-start
-  /// nested interpreter, which re-pokes its guest image and decode tables
-  /// each frame and keeps its large static tables across frames.
+  /// previously dirtied beyond the program image. Used by translated
+  /// nested runs, which re-poke their guest image each frame and keep
+  /// their large static tables across frames.
   Status LoadNoZero(const Program& program);
 
   /// Monotonic count of Load/LoadNoZero calls on this machine. Lets a
   /// caller detect whether anyone else re-loaded the machine since it last
-  /// set up resident state (e.g. the warm interpreter's static tables).
+  /// set up resident state (e.g. a translated run's static tables).
   uint64_t load_seq() const { return load_seq_; }
 
   /// \brief Writes `count` words at absolute address `addr`.

@@ -486,6 +486,120 @@ TEST(SegmentedTest, ListSegmentsRejectsPlainContainers) {
   EXPECT_EQ(decoded.value(), ToBytes(std::string("plain old container")));
 }
 
+// ---- hostile columnar streams and container headers ----
+// Every case must come back as Status::Corruption (or exact bytes), never
+// UB, an exception, or an allocation the stream cannot justify.
+
+void PutVar(Bytes* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out->push_back(static_cast<uint8_t>(v));
+}
+
+// One COPY section with a single column: section tag, empty header, row
+// count, column count 1, then `column` (kind byte first), then the end tag.
+Bytes CopySection(uint64_t rows, const Bytes& column) {
+  Bytes s = {1};  // kSectionCopy
+  PutVar(&s, 0);  // header length
+  PutVar(&s, rows);
+  PutVar(&s, 1);  // columns
+  s.insert(s.end(), column.begin(), column.end());
+  s.push_back(2);  // kSectionEnd
+  return s;
+}
+
+Bytes DecimalColumn(uint8_t scale, std::initializer_list<uint64_t> zz) {
+  Bytes c = {1, scale};  // kColDecimal
+  for (uint64_t v : zz) PutVar(&c, v);
+  return c;
+}
+
+void ExpectCorrupt(const Result<Bytes>& r) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+      << r.status().ToString();
+}
+
+TEST(ColumnarHostileTest, DecimalScaleBeyondUint64IsCorrupt) {
+  // 10^20 overflows uint64_t.
+  ExpectCorrupt(ColumnarDecode(CopySection(1, DecimalColumn(20, {10})), 100));
+}
+
+TEST(ColumnarHostileTest, DecimalScaleWherePow10WrapsIsCorrupt) {
+  // 10^64 wraps to 0 modulo 2^64: the old code divided by zero.
+  ExpectCorrupt(ColumnarDecode(CopySection(1, DecimalColumn(64, {10})), 100));
+  ExpectCorrupt(ColumnarDecode(CopySection(1, DecimalColumn(255, {10})), 100));
+}
+
+TEST(ColumnarHostileTest, DecimalScaleZeroIsCorrupt) {
+  // Scale 0 asked frac.insert for a negative count of padding zeros.
+  ExpectCorrupt(ColumnarDecode(CopySection(1, DecimalColumn(0, {10})), 100));
+}
+
+TEST(ColumnarHostileTest, DecimalInt64MinFormatsExactly) {
+  // ZigZag(INT64_MIN) = all ones: the magnitude must not negate in int64.
+  auto r = ColumnarDecode(CopySection(1, DecimalColumn(2, {~0ull})), 100);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ToString(r.value()), "-92233720368547758.08\n\\.\n");
+}
+
+TEST(ColumnarHostileTest, DeltaSumOverflowIsCorrupt) {
+  // INT64_MAX, then +1: the running sum leaves int64.
+  const uint64_t zz_max = ~0ull - 1;  // ZigZag(INT64_MAX)
+  Bytes ints = {0};                   // kColInt
+  PutVar(&ints, zz_max);
+  PutVar(&ints, 2);  // ZigZag(1)
+  ExpectCorrupt(ColumnarDecode(CopySection(2, ints), 1000));
+  ExpectCorrupt(
+      ColumnarDecode(CopySection(2, DecimalColumn(3, {zz_max, 2})), 1000));
+}
+
+TEST(ColumnarHostileTest, DateOutOfRangeIsCorrupt) {
+  Bytes dates = {2};  // kColDate
+  PutVar(&dates, ~0ull - 1);
+  ExpectCorrupt(ColumnarDecode(CopySection(1, dates), 1000));
+}
+
+TEST(ColumnarHostileTest, HugeRowCountIsCorrupt) {
+  Bytes ints = {0};
+  PutVar(&ints, 2);
+  ExpectCorrupt(ColumnarDecode(CopySection(1ull << 62, ints), 1u << 20));
+  ExpectCorrupt(ColumnarDecode(CopySection(~0ull, ints), ~size_t{0}));
+}
+
+TEST(ColumnarHostileTest, HugeDictSizeIsCorrupt) {
+  Bytes dict = {3};  // kColDict
+  PutVar(&dict, 1ull << 62);
+  ExpectCorrupt(ColumnarDecode(CopySection(1, dict), 1000));
+}
+
+TEST(ColumnarHostileTest, DictRowsBeyondOutputLengthAreCorrupt) {
+  // One 1000-byte entry repeated per one-byte row: 64 rows would
+  // materialise 64 KB from a stream the header says yields 4 KB.
+  Bytes dict = {3};
+  PutVar(&dict, 1);
+  PutVar(&dict, 1000);
+  dict.insert(dict.end(), 1000, 'x');
+  dict.insert(dict.end(), 64, 0);
+  ExpectCorrupt(ColumnarDecode(CopySection(64, dict), 4096));
+}
+
+TEST(ContainerHostileTest, HugeRawLengthIsCorruptForEveryScheme) {
+  Rng rng(13);
+  const Bytes data = CompressibleText(&rng, 300);
+  for (Scheme scheme : {Scheme::kStore, Scheme::kLzss, Scheme::kLzac,
+                        Scheme::kColumnar}) {
+    auto packed = Encode(data, scheme);
+    ASSERT_TRUE(packed.ok());
+    Bytes c = packed.TakeValue();
+    // Raw length (u32 little-endian at offset 5): claim 4 GB.
+    for (int i = 0; i < 4; ++i) c[5 + i] = 0xFF;
+    ExpectCorrupt(Decode(c));
+  }
+}
+
 }  // namespace
 }  // namespace dbcoder
 }  // namespace ule

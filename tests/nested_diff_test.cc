@@ -1,10 +1,11 @@
 // Differential tests for the nested-emulation fast paths. The archived
 // cold interpreter (boot-from-ports, fetch/decode every guest
-// instruction) is the semantic reference; the cached-translation warm
-// path and the fused dispatch core underneath it are engine
+// instruction) is the semantic reference; the DynaRISC->VeRISC
+// translation and the fused dispatch core underneath it are engine
 // accelerations that must be byte-identical on every program — including
-// self-modifying ones, jumps into immediate words, illegal opcodes,
-// pauses that land mid-slice, and step-limit faults.
+// self-modifying ones (which bail to the cold interpreter), jumps into
+// immediate words, illegal opcodes, pauses that land mid-slice, and
+// step-limit faults.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,14 @@
 #include <initializer_list>
 #include <string>
 
+#include "decoders/modecode.h"
 #include "dynarisc/assembler.h"
 #include "dynarisc/isa.h"
 #include "dynarisc/machine.h"
 #include "olonys/dynarisc_in_verisc.h"
+#include "mocoder/emblem.h"
 #include "olonys/translation_cache.h"
+#include "support/crc32.h"
 #include "support/random.h"
 #include "verisc/implementations.h"
 
@@ -48,39 +52,44 @@ dynarisc::Program FromWords(std::initializer_list<uint16_t> words,
   return p;
 }
 
-// Runs one program through the cold archival path and through the warm
+// Runs one program through the cold archival path and through the
 // translated path twice (cache miss, then cache hit), requiring
-// byte-identical output everywhere and the expected cache behaviour.
-// Returns the agreed output.
-Bytes ExpectPathsAgree(const dynarisc::Program& p, BytesView input) {
+// byte-identical output everywhere, the expected cache behaviour, and
+// that the translated runs bail exactly when `bails`. Returns the agreed
+// output.
+Bytes ExpectPathsAgree(const dynarisc::Program& p, BytesView input,
+                       bool bails = false) {
   TranslationCache::Global().Clear();
   auto cold = RunNested(p, input, {}, &verisc::Run, NestedMode::kCold);
   EXPECT_TRUE(cold.ok()) << cold.status().ToString();
   if (!cold.ok()) return {};
 
   NestedRunStats miss, hit;
-  auto warm1 =
+  auto xlat1 =
       RunNested(p, input, {}, &verisc::Run, NestedMode::kTranslated, &miss);
-  EXPECT_TRUE(warm1.ok()) << warm1.status().ToString();
-  auto warm2 =
+  EXPECT_TRUE(xlat1.ok()) << xlat1.status().ToString();
+  auto xlat2 =
       RunNested(p, input, {}, &verisc::Run, NestedMode::kTranslated, &hit);
-  EXPECT_TRUE(warm2.ok()) << warm2.status().ToString();
-  if (!warm1.ok() || !warm2.ok()) return {};
+  EXPECT_TRUE(xlat2.ok()) << xlat2.status().ToString();
+  if (!xlat1.ok() || !xlat2.ok()) return {};
 
   EXPECT_TRUE(miss.translated);
   EXPECT_FALSE(miss.cache_hit);
   EXPECT_TRUE(hit.translated);
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(warm1.value(), cold.value());
-  EXPECT_EQ(warm2.value(), cold.value());
+  EXPECT_EQ(miss.bailed, bails);
+  EXPECT_EQ(hit.bailed, bails);
+  EXPECT_EQ(xlat1.value(), cold.value());
+  EXPECT_EQ(xlat2.value(), cold.value());
   return cold.TakeValue();
 }
 
 // Same, also pinned against the native DynaRisc emulator.
-void ExpectPathsMatchNative(const dynarisc::Program& p, BytesView input) {
+void ExpectPathsMatchNative(const dynarisc::Program& p, BytesView input,
+                            bool bails = false) {
   auto native = dynarisc::RunProgram(p, input);
   ASSERT_TRUE(native.ok()) << native.status().ToString();
-  EXPECT_EQ(ExpectPathsAgree(p, input), native.value());
+  EXPECT_EQ(ExpectPathsAgree(p, input, bails), native.value());
 }
 
 // Restores the default engine slice size even when a test fails.
@@ -90,9 +99,9 @@ struct SliceOverride {
 };
 
 // The guest overwrites an upcoming instruction word with SYS #2 via
-// STM.W and then falls through into it: the predecoded handler table
-// must be invalidated by the store, or the warm path would still run
-// the stale LDI and emit a byte the other paths never produce.
+// STM.W and then falls through into it: the store hits translated code,
+// so the translated run must bail to the cold interpreter, or it would
+// still run the stale LDI and emit a byte the other paths never produce.
 TEST(NestedDiffTest, SelfModifyingStoreInvalidatesTranslation) {
   using namespace dynarisc;
   const uint16_t halt_word = Enc(kSys, 0, 0, kSysHalt);
@@ -105,8 +114,8 @@ TEST(NestedDiffTest, SelfModifyingStoreInvalidatesTranslation) {
       Enc(kSys, 0, 0, kSysWriteByte),    // never reached once patched
       Enc(kSys, 0, 0, kSysHalt),
   });
-  ExpectPathsMatchNative(patched, {});
-  EXPECT_TRUE(ExpectPathsAgree(patched, {}).empty());
+  ExpectPathsMatchNative(patched, {}, /*bails=*/true);
+  EXPECT_TRUE(ExpectPathsAgree(patched, {}, /*bails=*/true).empty());
 
   // Control: the identical program with the store turned into a no-op
   // ALU instruction reaches the LDI and emits 0x41 — proving the
@@ -121,8 +130,9 @@ TEST(NestedDiffTest, SelfModifyingStoreInvalidatesTranslation) {
 
 // DynaRisc allows jumping into the middle of an instruction: the
 // immediate word of the LDI doubles as a SYS #2 when entered at its own
-// address. Translation predecodes *every* guest address as a potential
-// instruction start, so all paths must halt without output.
+// address. Block discovery starts a separate block at the jump target
+// (a different decode of the same bytes), so all paths must halt without
+// output.
 TEST(NestedDiffTest, JumpIntoImmediateWord) {
   using namespace dynarisc;
   auto p = FromWords({
@@ -136,8 +146,8 @@ TEST(NestedDiffTest, JumpIntoImmediateWord) {
   EXPECT_TRUE(ExpectPathsAgree(p, {}).empty());
 }
 
-// The archived interpreter defines illegal opcodes as halt; the warm
-// path must agree (the native emulator faults instead, so it is not
+// The archived interpreter defines illegal opcodes as halt; the
+// translated path must agree (the native emulator faults instead, so it is not
 // compared here).
 TEST(NestedDiffTest, IllegalOpcodeHaltsOnEveryPath) {
   dynarisc::Program p;
@@ -188,10 +198,10 @@ TEST(NestedDiffTest, StepLimitFaultsIdentically) {
   verisc::RunOptions opts;
   opts.max_steps = 300'000'000;  // past cold boot, nowhere near a halt
   auto cold = RunNested(p, {}, opts, &verisc::Run, NestedMode::kCold);
-  auto warm = RunNested(p, {}, opts, &verisc::Run, NestedMode::kTranslated);
+  auto xlat = RunNested(p, {}, opts, &verisc::Run, NestedMode::kTranslated);
   ASSERT_FALSE(cold.ok());
-  ASSERT_FALSE(warm.ok());
-  EXPECT_EQ(cold.status().code(), warm.status().code());
+  ASSERT_FALSE(xlat.ok());
+  EXPECT_EQ(cold.status().code(), xlat.status().code());
 }
 
 // The translated path is an engine acceleration of the reference VeRisc
@@ -307,6 +317,387 @@ TEST_P(NestedDiffFuzz, RandomProgramsAgreeOnEveryPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, NestedDiffFuzz, ::testing::Range(0, 10));
+
+// Random programs with control flow, for the translator's block
+// discovery, chaining and flag liveness: bounded loops, a JZ/JC after
+// flag-setting ops (shifts by 0 included, which leave C unchanged), nested
+// CALL/RET, MUL read back through HI, D-register round trips, and SYS #0
+// running past the end of the input. Every path must match the native
+// emulator, and the translated runs must never bail.
+class ProgramGen {
+ public:
+  explicit ProgramGen(uint32_t seed) : rng_(seed) {}
+
+  std::string Build() {
+    Line("LDI R5,#0x8000");
+    Line("MOVE D3,R5");
+    Line("LDI R6,#0x4000");
+    Line("MOVE D0,R6");
+    const int subs = 1 + static_cast<int>(rng_.Below(3));
+    Body(10 + static_cast<int>(rng_.Below(20)), subs, 0, true);
+    // Observe every register, HI and both flags.
+    Line("JZ zset");
+    Line("LDI R7,#0x21");
+    Line("JUMP zdone");
+    Line("zset: LDI R7,#0x12");
+    Line("zdone: JC cset");
+    Line("LDI R6,#0x34");
+    Line("JUMP cdone");
+    Line("cset: LDI R6,#0x43");
+    Line("cdone: MOVE R0,R7");
+    Line("SYS #1");
+    Line("MOVE R0,R6");
+    Line("SYS #1");
+    for (int r = 1; r < 5; ++r) {
+      Line("MOVE R0,R" + std::to_string(r));
+      Line("SYS #1");
+      Line("LSR R0,#8");
+      Line("SYS #1");
+    }
+    Line("MOVE R0,HI");
+    Line("SYS #1");
+    Line("MOVE R0,D0");
+    Line("SYS #1");
+    Line("SYS #2");
+    // Subroutine k may call any higher-numbered one: nesting, no recursion.
+    for (int k = 0; k < subs; ++k) {
+      Line("sub" + std::to_string(k) + ":");
+      Body(3 + static_cast<int>(rng_.Below(8)), subs, k + 1, false);
+      Line("RET");
+    }
+    return src_;
+  }
+
+ private:
+  void Line(const std::string& line) {
+    src_ += line;
+    src_ += '\n';
+  }
+  std::string Reg() { return "R" + std::to_string(rng_.Below(5)); }
+  std::string NewLabel() { return "L" + std::to_string(labels_++); }
+
+  // `n` items over R0..R4; loops count in R5 (saved around nesting).
+  void Body(int n, int subs, int first_sub, bool loops) {
+    for (int i = 0; i < n; ++i) {
+      const uint64_t kind = rng_.Below(10);
+      if (kind == 0 && first_sub < subs) {
+        Line("CALL sub" + std::to_string(first_sub +
+                                         rng_.Below(subs - first_sub)));
+      } else if (kind == 1 && loops) {
+        const std::string top = NewLabel();
+        Line("LDI R5,#" + std::to_string(1 + rng_.Below(4)));
+        Line(top + ":");
+        Body(2 + static_cast<int>(rng_.Below(5)), subs, first_sub, false);
+        Line("LDI R6,#1");
+        Line("SUB R5,R6");
+        Line("JNZ " + top);
+      } else {
+        Op();
+      }
+    }
+  }
+
+  // One flag-setting op, sometimes followed by a conditional skip.
+  void Op() {
+    static const char* kAlu[] = {"ADD", "ADC", "SUB", "SBB", "CMP",
+                                 "MUL", "AND", "OR",  "XOR"};
+    static const char* kShift[] = {"LSL", "LSR", "ASR", "ROR"};
+    static const uint32_t kImm[] = {0, 1, 0x7FFF, 0x8000, 0xFFFF, 255, 256};
+    switch (rng_.Below(11)) {
+      case 9: {
+        // A constant operand: the translator folds it into the ALU op.
+        const std::string k = Reg();
+        const uint64_t v =
+            rng_.Below(2) ? kImm[rng_.Below(7)] : rng_.Below(0x10000);
+        Line("LDI " + k + ",#" + std::to_string(v));
+        Line(std::string(kAlu[rng_.Below(9)]) + " " + Reg() + "," + k);
+        break;
+      }
+      case 10:
+        // A pointer known at translation time: fixed-address access.
+        Line("LDI R6,#" + std::to_string(0x4100 + rng_.Below(64)));
+        Line("MOVE D2,R6");
+        Line(std::string(rng_.Below(2) ? "STM" : "LDM") +
+             (rng_.Below(2) ? ".W " : ".B ") + Reg() +
+             (rng_.Below(2) ? ",[D2+]" : ",[D2]"));
+        break;
+      case 0: {
+        const uint32_t v = rng_.Below(2) ? kImm[rng_.Below(7)]
+                                         : static_cast<uint32_t>(rng_.Below(0x10000));
+        Line("LDI " + Reg() + ",#" + std::to_string(v));
+        break;
+      }
+      case 1:
+      case 2:
+        Line(std::string(kAlu[rng_.Below(9)]) + " " + Reg() + "," + Reg());
+        break;
+      case 3:
+        Line(std::string(kShift[rng_.Below(4)]) + " " + Reg() + ",#" +
+             std::to_string(rng_.Below(3) == 0 ? 0 : rng_.Below(16)));
+        break;
+      case 4:
+        Line(std::string(kShift[rng_.Below(4)]) + " " + Reg() + "," + Reg());
+        break;
+      case 5:
+        Line("MUL " + Reg() + "," + Reg());
+        Line("MOVE " + Reg() + ",HI");
+        break;
+      case 6:
+        Line(std::string(rng_.Below(2) ? "STM" : "LDM") +
+             (rng_.Below(2) ? ".W " : ".B ") + Reg() +
+             (rng_.Below(2) ? ",[D0+]" : ",[D0]"));
+        break;
+      case 7:
+        Line("SYS #0");
+        break;
+      default:
+        Line("MOVE D1," + Reg());
+        Line("MOVE " + Reg() + ",D1");
+        break;
+    }
+    if (rng_.Below(2)) {
+      const std::string skip = NewLabel();
+      Line(std::string(rng_.Below(2) ? "JZ " : "JC ") + skip);
+      Line(std::string(kAlu[rng_.Below(9)]) + " " + Reg() + "," + Reg());
+      Line(skip + ":");
+    }
+  }
+
+  Rng rng_;
+  std::string src_;
+  int labels_ = 0;
+};
+
+class ControlFlowFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ControlFlowFuzz, RandomProgramsAgreeOnEveryPath) {
+  const uint32_t seed = 0xC0F10000u + static_cast<uint32_t>(GetParam());
+  const std::string src = ProgramGen(seed).Build();
+  Rng rng(seed);
+  Bytes input;
+  const size_t input_len = rng.Below(6);  // SYS #0 often hits the end
+  for (size_t i = 0; i < input_len; ++i) {
+    input.push_back(static_cast<uint8_t>(rng.Below(256)));
+  }
+  SCOPED_TRACE(src);
+  ExpectPathsMatchNative(Asm(src), input);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ControlFlowFuzz, ::testing::Range(0, 40));
+
+// Every MUL operand class: both bytes (one product-table read), one or
+// both operands >= 256 (the four-product routine), zero, and the
+// extremes; HI and C are observed after each.
+TEST(NestedDiffTest, MulOperandClasses) {
+  static const uint32_t kValues[] = {0, 1, 2, 255, 256, 257, 0x1234,
+                                     0x7FFF, 0x8000, 0xFF00, 0xFFFF};
+  std::string src;
+  for (uint32_t a : kValues) {
+    for (uint32_t b : kValues) {
+      src += "LDI R1,#" + std::to_string(a) + "\nLDI R2,#" +
+             std::to_string(b) + "\nMUL R1,R2\nMOVE R3,HI\n";
+      src += "LDI R0,#0\nJC c" + std::to_string(a) + "_" + std::to_string(b) +
+             "\nLDI R0,#1\nc" + std::to_string(a) + "_" + std::to_string(b) +
+             ":\nSYS #1\nMOVE R0,R1\nSYS #1\nLSR R0,#8\nSYS #1\n"
+             "MOVE R0,R3\nSYS #1\nLSR R0,#8\nSYS #1\n";
+    }
+  }
+  src += "SYS #2\n";
+  ExpectPathsMatchNative(Asm(src), {});
+}
+
+// Every ALU op with an operand known at translation time (an LDI in the
+// same block), entered with the VeRisc borrow known clear, known set and
+// unknown: the translator folds constants differently in each state.
+TEST(NestedDiffTest, ConstantOperandsUnderEveryBorrowState) {
+  static const char* kAlu[] = {"ADD", "ADC", "SUB", "SBB", "CMP",
+                               "MUL", "AND", "OR",  "XOR"};
+  static const char* kPrefix[] = {
+      "OR R4,R4",   // leaves the borrow clear
+      "LSR R4,#1",  // table lookup: leaves it set
+      "CMP R4,R3",  // leaves it unknown
+  };
+  static const uint32_t kConst[] = {0, 1, 0x00FF, 0x8000, 0xFFFF};
+  std::string src = "LDI R3,#0x1234\nLDI R4,#0x0F0F\n";
+  int label = 0;
+  for (const char* op : kAlu) {
+    for (const char* prefix : kPrefix) {
+      for (uint32_t c : kConst) {
+        for (uint32_t v : {0u, 1u, 0xFFFFu, 0x7FF0u}) {
+          const std::string l = "k" + std::to_string(label++);
+          src += "LDI R1,#" + std::to_string(v) + "\n" + prefix +
+                 "\nLDI R2,#" + std::to_string(c) + "\n" + op +
+                 " R1,R2\nMOVE R0,R1\nSYS #1\nLSR R0,#8\nSYS #1\n"
+                 "LDI R0,#0\nJC " + l + "\nLDI R0,#1\n" + l +
+                 ":\nSYS #1\n";
+        }
+      }
+    }
+  }
+  src += "SYS #2\n";
+  ExpectPathsMatchNative(Asm(src), {});
+}
+
+// ---- bail cases: each must give the archival bytes via the cold path ----
+
+// STM.B into the immediate word of a later LDI.
+TEST(NestedDiffTest, StoreIntoImmediateWordBails) {
+  using namespace dynarisc;
+  auto p = FromWords({
+      Enc(kLdi, 1, 0, 0), 18,           // R1 = address of the LDI immediate
+      Enc(kMove, 0, 1, kMoveDstD),      // D0 = R1
+      Enc(kLdi, 0, 0, 0), 0x77,         // R0 = new immediate low byte
+      Enc(kStm, 0, 0, 0),               // mem[18] = 0x77            (byte 10)
+      Enc(kJump, 0, 0, 0), 16,          // jump over nothing          (12-15)
+      Enc(kLdi, 2, 0, 0), 0x41,         // imm at bytes 18-19         (16-19)
+      Enc(kMove, 0, 2, 0),
+      Enc(kSys, 0, 0, kSysWriteByte),
+      Enc(kSys, 0, 0, kSysHalt),
+  });
+  ExpectPathsMatchNative(p, {}, /*bails=*/true);
+  EXPECT_EQ(ExpectPathsAgree(p, {}, /*bails=*/true), Bytes({0x77}));
+}
+
+// CALL with D3 pointing just past the call: the push overwrites the
+// CALL's own immediate word, which is translated code.
+TEST(NestedDiffTest, CallPushOverwritingCodeBails) {
+  using namespace dynarisc;
+  auto p = FromWords({
+      Enc(kLdi, 1, 0, 0), 10,           // R1 = 10                     (0-3)
+      Enc(kMove, 3, 1, kMoveDstD),      // D3 = 10                     (4-5)
+      Enc(kCall, 0, 0, 0), 12,          // pushes 10 into bytes 8-9    (6-9)
+      Enc(kSys, 0, 0, kSysHalt),        // return site                 (10-11)
+      Enc(kLdi, 0, 0, 0), 0x5A,         // sub                         (12-15)
+      Enc(kSys, 0, 0, kSysWriteByte),
+      Enc(kRet, 0, 0, 0),
+  });
+  ExpectPathsMatchNative(p, {}, /*bails=*/true);
+  EXPECT_EQ(ExpectPathsAgree(p, {}, /*bails=*/true), Bytes({0x5A}));
+}
+
+// A store through a pointer only known at run time (set in another
+// block) into the immediate of a later LDI: the code map catches it.
+TEST(NestedDiffTest, DynamicStoreIntoCodeBails) {
+  auto p = Asm(R"(
+      LDI R1,#target
+      LDI R2,#2
+      ADD R1,R2
+      MOVE D1,R1
+      JUMP store
+store:
+      LDI R0,#0x66
+      STM.B R0,[D1]
+target:
+      LDI R0,#0x11
+      SYS #1
+      SYS #2
+)");
+  ExpectPathsMatchNative(p, {}, /*bails=*/true);
+  EXPECT_EQ(ExpectPathsAgree(p, {}, /*bails=*/true), Bytes({0x66}));
+}
+
+// RET to an address no CALL returns to: block discovery never reached it.
+TEST(NestedDiffTest, RetToNonReturnSiteBails) {
+  auto p = Asm(R"(
+      LDI R1,#0x8000
+      MOVE D3,R1
+      LDI R1,#hidden
+      STM.W R1,[D3]
+      RET
+hidden:
+      LDI R0,#0x41
+      SYS #1
+      SYS #2
+)");
+  ExpectPathsMatchNative(p, {}, /*bails=*/true);
+  EXPECT_EQ(ExpectPathsAgree(p, {}, /*bails=*/true), Bytes({0x41}));
+}
+
+// A program whose translation cannot fit the 64 Ki-word program area
+// runs on the cold interpreter from the start.
+TEST(NestedDiffTest, ImageTooLargeToTranslateRunsCold) {
+  using namespace dynarisc;
+  dynarisc::Program p;
+  auto word = [&p](uint16_t w) {
+    p.image.push_back(static_cast<uint8_t>(w & 0xFF));
+    p.image.push_back(static_cast<uint8_t>(w >> 8));
+  };
+  word(Enc(kLdi, 1, 0, 0));
+  word(0x1234);
+  word(Enc(kLdi, 2, 0, 0));
+  word(0x00F1);
+  for (int i = 0; i < 20000; ++i) word(Enc(kXor, 1, 2, 0));
+  word(Enc(kMove, 0, 1, 0));
+  word(Enc(kSys, 0, 0, kSysWriteByte));
+  word(Enc(kSys, 0, 0, kSysHalt));
+  ExpectPathsMatchNative(p, {}, /*bails=*/true);
+}
+
+// The damaged-emblem MODecode conformance cases, through the translated
+// path: these are the only inputs that drive MODecode's Berlekamp-Massey,
+// Chien and Forney code (no benchmark workload corrects an RS error).
+struct EmblemCase {
+  int n;
+  int flipped_cells;
+};
+
+class TranslatedModecode : public ::testing::TestWithParam<EmblemCase> {};
+
+TEST_P(TranslatedModecode, MatchesNativeAndCold) {
+  const auto [n, flipped] = GetParam();
+  Rng rng(static_cast<uint64_t>(n) * 31 + static_cast<uint64_t>(flipped));
+  const int cap = mocoder::EmblemCapacity(n);
+  ASSERT_GT(cap, 0);
+  Bytes payload = RandomBytes(&rng, static_cast<size_t>(cap));
+  mocoder::EmblemHeader h;
+  h.stream = mocoder::StreamId::kData;
+  h.seq = 5;
+  h.total = 9;
+  h.stream_len = static_cast<uint32_t>(cap);
+  h.payload_crc = Crc32(payload);
+  auto grid = mocoder::BuildEmblem(h, payload, n);
+  ASSERT_TRUE(grid.ok());
+  Bytes cells(static_cast<size_t>(n) * n);
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      cells[static_cast<size_t>(y) * n + x] =
+          grid.value().at(mocoder::kFrameCells + x, mocoder::kFrameCells + y)
+              ? 12
+              : 240;
+    }
+  }
+  for (int i = 0; i < flipped; ++i) cells[rng.Below(cells.size())] = 128;
+  const Bytes input = decoders::PackModecodeInput(cells, n);
+
+  auto native = dynarisc::RunProgram(decoders::ModecodeProgram(), input);
+  ASSERT_TRUE(native.ok());
+  verisc::RunOptions opts;
+  opts.max_steps = 20'000'000'000ull;
+  NestedRunStats stats;
+  auto xlat = RunNested(decoders::ModecodeProgram(), input, opts,
+                        &verisc::Run, NestedMode::kTranslated, &stats);
+  ASSERT_TRUE(xlat.ok()) << xlat.status().ToString();
+  EXPECT_FALSE(stats.bailed);
+  EXPECT_EQ(xlat.value(), native.value());
+  auto cold = RunNested(decoders::ModecodeProgram(), input, opts,
+                        &verisc::Run, NestedMode::kCold);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold.value(), native.value());
+  const Bytes got(xlat.value().begin() + mocoder::kHeaderSize,
+                  xlat.value().begin() + mocoder::kHeaderSize + cap);
+  EXPECT_EQ(got, payload);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Emblems, TranslatedModecode,
+    ::testing::Values(EmblemCase{65, 0}, EmblemCase{65, 8},
+                      EmblemCase{80, 0}, EmblemCase{80, 20},
+                      EmblemCase{128, 0}, EmblemCase{128, 40},
+                      EmblemCase{128, 60}),
+    [](const ::testing::TestParamInfo<EmblemCase>& info) {
+      return "n" + std::to_string(info.param.n) + "_flipped" +
+             std::to_string(info.param.flipped_cells);
+    });
 
 }  // namespace
 }  // namespace olonys
