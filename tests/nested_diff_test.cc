@@ -14,6 +14,8 @@
 #include <initializer_list>
 #include <string>
 
+#include "dbcoder/dbcoder.h"
+#include "decoders/dbdecode.h"
 #include "decoders/modecode.h"
 #include "dynarisc/assembler.h"
 #include "dynarisc/isa.h"
@@ -631,6 +633,28 @@ TEST(NestedDiffTest, ImageTooLargeToTranslateRunsCold) {
   word(Enc(kSys, 0, 0, kSysWriteByte));
   word(Enc(kSys, 0, 0, kSysHalt));
   ExpectPathsMatchNative(p, {}, /*bails=*/true);
+}
+
+// The archived DBDecode never bails, on every scheme it decodes.
+TEST(NestedDiffTest, ArchivedDbDecodeNeverBails) {
+  Rng rng(77);
+  std::string text;
+  while (text.size() < 6000) {
+    text += "INSERT INTO lineitem VALUES (" + std::to_string(rng.Below(99999)) +
+            ", 'archival row');\n";
+  }
+  const Bytes raw(text.begin(), text.end());
+  for (auto scheme : {dbcoder::Scheme::kStore, dbcoder::Scheme::kLzss,
+                      dbcoder::Scheme::kLzac}) {
+    auto container = dbcoder::Encode(raw, scheme);
+    ASSERT_TRUE(container.ok());
+    NestedRunStats stats;
+    auto out = RunNested(decoders::DbDecodeProgram(), container.value(), {},
+                         &verisc::Run, NestedMode::kTranslated, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.value(), raw) << dbcoder::SchemeName(scheme);
+    EXPECT_FALSE(stats.bailed) << dbcoder::SchemeName(scheme);
+  }
 }
 
 // The damaged-emblem MODecode conformance cases, through the translated
