@@ -529,7 +529,9 @@ Result<Bytes> ColumnarDecode(BytesView stream, size_t raw_len) {
   // The header's length is only a claim: reserve what a stream of this
   // size plausibly produces, and fail as soon as the output outgrows it.
   out.reserve(std::min(raw_len, stream.size() * 16));
-  auto left = [&]() { return out.size() <= raw_len ? raw_len - out.size() : 0; };
+  auto left = [&]() {
+    return out.size() <= raw_len ? raw_len - out.size() : 0;
+  };
   while (true) {
     uint8_t tag;
     ULE_RETURN_IF_ERROR(r.GetU8(&tag));

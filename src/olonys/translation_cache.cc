@@ -53,7 +53,7 @@ Insn Decode(const std::vector<uint8_t>& mem, uint16_t a) {
   i.rd = dynarisc::DecodeRd(w);
   i.rs = dynarisc::DecodeRs(w);
   i.mode = dynarisc::DecodeMode(w);
-  const bool has_imm = i.op < dynarisc::kOpcodeCount && dynarisc::HasImmediate(i.op);
+  const bool has_imm = dynarisc::HasImmediate(i.op);
   if (has_imm) {
     i.imm = static_cast<uint16_t>(byte(a + 2u) | (byte(a + 3u) << 8));
   }
@@ -316,7 +316,9 @@ class Translator {
         sv_(b_.NewCell()),
         sa_(b_.NewCell()),
         ret_(b_.NewCell()) {
-    for (size_t i = 0; i < cfg.blocks.size(); ++i) labels_.push_back(b_.NewLabel());
+    for (size_t i = 0; i < cfg.blocks.size(); ++i) {
+      labels_.push_back(b_.NewLabel());
+    }
     emitted_.assign(cfg.blocks.size(), 0);
   }
 

@@ -33,7 +33,9 @@ Bytes WordsLe(const std::vector<uint32_t>& words) {
   Bytes out;
   out.reserve(words.size() * 4);
   for (uint32_t w : words) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(w >> (8 * i)));
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<uint8_t>(w >> (8 * i)));
+    }
   }
   return out;
 }

@@ -424,8 +424,8 @@ class ProgramGen {
              (rng_.Below(2) ? ",[D2+]" : ",[D2]"));
         break;
       case 0: {
-        const uint32_t v = rng_.Below(2) ? kImm[rng_.Below(7)]
-                                         : static_cast<uint32_t>(rng_.Below(0x10000));
+        const uint64_t v =
+            rng_.Below(2) ? kImm[rng_.Below(7)] : rng_.Below(0x10000);
         Line("LDI " + Reg() + ",#" + std::to_string(v));
         break;
       }
