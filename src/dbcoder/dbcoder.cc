@@ -40,11 +40,13 @@ Bytes LzssEncode(BytesView raw) {
 }
 
 Result<Bytes> LzssDecode(BytesView stream, size_t raw_len) {
-  // Each token costs at least 9 bits, and at most 19 bits buy kMaxMatch
-  // bytes: a length the stream cannot produce is corrupt, and never
-  // reserved.
+  // A match token buys at most kMaxMatch bytes, a literal token one: a
+  // length the stream cannot produce is corrupt, and never reserved.
+  constexpr uint64_t kMatchTokenBits = 1 + kWindowBits + kLengthBits;
+  constexpr uint64_t kLiteralTokenBits = 1 + 8;
   const uint64_t bits = static_cast<uint64_t>(stream.size()) * 8;
-  if (raw_len > bits / 19 * kMaxMatch + bits % 19 / 9 * kMaxMatch) {
+  if (raw_len > bits / kMatchTokenBits * kMaxMatch +
+                    bits % kMatchTokenBits / kLiteralTokenBits) {
     return Status::Corruption("LZSS: length exceeds what the stream holds");
   }
   BitReader r(stream);

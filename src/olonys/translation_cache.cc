@@ -24,9 +24,6 @@ constexpr uint32_t kSpace = dynarisc::kMemorySize;
 /// leaves clear.
 constexpr uint32_t kPtrMask = kXGuestBase | 0xFFFF;
 static_assert((kXGuestBase & 0x1FFFF) == 0, "guest base needs bit 16 clear");
-/// Instruction starts beyond this cannot fit the program area anyway
-/// (every instruction emits at least two words); stop discovery early.
-constexpr size_t kMaxInstructions = 24576;
 
 /// Liveness bits for the flag-like state the translation materialises
 /// only on demand.
@@ -156,23 +153,19 @@ struct Cfg {
   int entry = -1;
 };
 
-/// Static traversal from the entry point. Returns false when the program
-/// has more instruction starts than could ever be translated.
-bool Discover(const std::vector<uint8_t>& mem, uint16_t entry, Cfg* cfg) {
+/// Static traversal from the entry point.
+void Discover(const std::vector<uint8_t>& mem, uint16_t entry, Cfg* cfg) {
   std::vector<uint8_t> is_insn(kSpace, 0), leader(kSpace, 0),
       fall_in(kSpace, 0), ret_site(kSpace, 0);
   std::vector<uint16_t> work;
-  size_t count = 0;
   auto visit = [&](uint16_t a, bool is_leader) {
     if (is_leader) leader[a] = 1;
     if (is_insn[a]) return;
     is_insn[a] = 1;
-    ++count;
     work.push_back(a);
   };
   visit(entry, true);
   while (!work.empty()) {
-    if (count > kMaxInstructions) return false;
     const Insn i = Decode(mem, work.back());
     work.pop_back();
     switch (FlowOf(i)) {
@@ -238,7 +231,6 @@ bool Discover(const std::vector<uint8_t>& mem, uint16_t entry, Cfg* cfg) {
     if (ret_site[a]) cfg->ret_sites.push_back(cfg->block_at[a]);
   }
   cfg->entry = cfg->block_at[entry];
-  return true;
 }
 
 /// Flag state live into a block, given what is live out of it.
@@ -511,15 +503,8 @@ class Translator {
       FlagEffects(blk.insns[k], &use, &def);
       live = static_cast<uint8_t>((live & ~def) | use);
     }
-    const size_t n = blk.insns.size();
     const Insn& last = blk.insns.back();
-    // A conditional branch right after SUB/SBB/CMP tests the difference's
-    // borrow directly instead of reloading Z or C.
-    const bool fuse = blk.flow == Flow::kCond && n >= 2 &&
-                      (blk.insns[n - 2].op == dynarisc::kSub ||
-                       blk.insns[n - 2].op == dynarisc::kSbb ||
-                       blk.insns[n - 2].op == dynarisc::kCmp);
-    for (size_t k = 0; k + (fuse ? 2 : 1) < n; ++k) {
+    for (size_t k = 0; k + 1 < blk.insns.size(); ++k) {
       EmitOp(blk.insns[k], live_after[k]);
     }
     switch (blk.flow) {
@@ -529,10 +514,7 @@ class Translator {
       case Flow::kJump:
         return Chain(blk.taken);
       case Flow::kCond:
-        if (fuse) {
-          EmitDifferenceForBranch(blk.insns[n - 2], last.op == dynarisc::kJz,
-                                  live_after[n - 1]);
-        } else if (last.op == dynarisc::kJz) {
+        if (last.op == dynarisc::kJz) {
           Known();
           b_.Ld(zc_);
           b_.Sbb(K(br_ == kB1 ? 0 : 1));  // borrow = (Z value == 0)
@@ -805,31 +787,6 @@ class Translator {
       b_.Sbb(R(i.rs));
     }
     br_ = kBx;
-  }
-
-  /// SUB/SBB/CMP immediately followed by JZ or JC: leaves the branch
-  /// condition in the borrow. For JC that is the subtraction's own borrow.
-  /// For JZ, with borrow b from the subtraction, `diff - 1 - b` borrows
-  /// exactly when the difference is zero (a borrowing difference wrapped
-  /// far above 0xFFFF), so Z needs no reload and no borrow clear.
-  void EmitDifferenceForBranch(const Insn& i, bool jz,
-                               uint8_t live_after_branch) {
-    const bool store = i.op != dynarisc::kCmp;
-    const bool z_out = (live_after_branch & kLiveZ) != 0;
-    const bool c_out = (live_after_branch & kLiveC) != 0;
-    EmitDifference(i);
-    if (jz && (store || z_out || c_out)) b_.St(t0_);
-    if (store || z_out) {
-      b_.And(K(0xFFFF));
-      if (store) b_.St(R(i.rd));
-      SetZ(live_after_branch);
-    }
-    if (c_out) CarryFromBorrow();
-    if (jz) {
-      if (store || z_out || c_out) b_.Ld(t0_);
-      b_.Sbb(K(1));
-    }
-    rk_[i.rd].reset();
   }
 
   void EmitMove(const Insn& i, uint8_t live) {
@@ -1204,7 +1161,7 @@ TranslationCache::EntryPtr TranslateProgram(const dynarisc::Program& program) {
   std::copy_n(program.image.begin(),
               std::min<size_t>(program.image.size(), kSpace), mem.begin());
   Cfg cfg;
-  if (!Discover(mem, program.entry, &cfg)) return e;
+  Discover(mem, program.entry, &cfg);
   ComputeLiveness(&cfg);
   Translator translator(cfg);
   Result<verisc::Program> built = translator.Build();

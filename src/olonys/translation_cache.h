@@ -31,8 +31,7 @@
 ///    access, with the code-map check done during translation.
 ///  * Z is kept as the last Z-setting 16-bit result (Z = cell == 0) and C
 ///    as 0/1. A global backward liveness pass over the block graph stores
-///    Z, C and HI only where a later instruction can read them. A JZ/JC
-///    right after SUB/SBB/CMP branches on the subtraction's borrow.
+///    Z, C and HI only where a later instruction can read them.
 ///  * JZ/JC, JUMP and CALL chain directly to the translated target block;
 ///    blocks are laid out so that one successor usually falls through.
 ///  * CALL pushes its static return address into guest memory exactly as

@@ -600,6 +600,17 @@ TEST(ContainerHostileTest, HugeRawLengthIsCorruptForEveryScheme) {
   }
 }
 
+// A long run packs into back-to-back longest matches, the densest stream
+// LZSS can write: the length bound must still admit it.
+TEST(ContainerHostileTest, DensestLzssStreamStillDecodes) {
+  const Bytes data(1 + 1000 * 34, 0);
+  auto packed = Encode(data, Scheme::kLzss);
+  ASSERT_TRUE(packed.ok());
+  auto decoded = Decode(packed.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value(), data);
+}
+
 }  // namespace
 }  // namespace dbcoder
 }  // namespace ule

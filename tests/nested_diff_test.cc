@@ -540,6 +540,40 @@ TEST(NestedDiffTest, ConstantOperandsUnderEveryBorrowState) {
   ExpectPathsMatchNative(Asm(src), {});
 }
 
+// SUB/SBB/CMP followed directly by JZ or JC, entered with C clear and
+// set, on operands known in the block and loaded in an earlier one. The
+// edge pairs include SBB 0 - 0xFFFF - 1, whose 16-bit result is zero
+// although the subtraction borrows, so Z and C are both set.
+TEST(NestedDiffTest, SubtractThenBranchOnEveryEdge) {
+  static const char* kOps[] = {"SUB", "SBB", "CMP"};
+  static const char* kBranches[] = {"JZ", "JC"};
+  static const uint32_t kPairs[][2] = {
+      {0, 0xFFFF}, {0, 0},      {5, 5},      {0xFFFF, 0xFFFF},
+      {0, 1},      {1, 0},      {0xFFFF, 0}, {0x8000, 0x7FFF}};
+  std::string src = "LDI R5,#0\nLDI R6,#1\n";
+  int label = 0;
+  for (const char* op : kOps) {
+    for (const char* branch : kBranches) {
+      for (const char* set_c : {"CMP R6,R5", "CMP R5,R6"}) {  // C = 0, 1
+        for (const auto& pair : kPairs) {
+          for (bool split : {false, true}) {
+            const std::string n = std::to_string(label++);
+            src += "LDI R1,#" + std::to_string(pair[0]) + "\nLDI R2,#" +
+                   std::to_string(pair[1]) + "\n";
+            if (split) src += "JUMP s" + n + "\ns" + n + ":\n";
+            src += std::string(set_c) + "\n" + op + " R1,R2\n" + branch +
+                   " t" + n + "\nLDI R0,#0x30\nJUMP o" + n + "\nt" + n +
+                   ":\nLDI R0,#0x31\no" + n +
+                   ":\nSYS #1\nMOVE R0,R1\nSYS #1\nLSR R0,#8\nSYS #1\n";
+          }
+        }
+      }
+    }
+  }
+  src += "SYS #2\n";
+  ExpectPathsMatchNative(Asm(src), {});
+}
+
 // ---- bail cases: each must give the archival bytes via the cold path ----
 
 // STM.B into the immediate word of a later LDI.
