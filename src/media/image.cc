@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "support/io.h"
 
@@ -62,7 +63,11 @@ Result<size_t> ParseNetpbmHeader(BytesView data, const char* magic, int* w,
     int v = 0;
     bool any = false;
     while (pos < data.size() && std::isdigit(data[pos])) {
-      v = v * 10 + (data[pos] - '0');
+      const int digit = data[pos] - '0';
+      if (v > (std::numeric_limits<int>::max() - digit) / 10) {
+        return Status::Corruption("netpbm header value out of range");
+      }
+      v = v * 10 + digit;
       ++pos;
       any = true;
     }

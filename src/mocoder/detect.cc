@@ -146,6 +146,34 @@ void LatticeToScan(const LatticePoints& pts, const Frame& f, double cxc,
   }
 }
 
+/// The lens coefficients calibration can pick. `near` is the physically
+/// plausible range -0.008 … 0.008 in steps of 0.0004, `far` the magnitudes
+/// 0.0088 … 0.030 in steps of 0.0008, tried with both signs. Both lists are
+/// built by accumulation, so their values are those accumulated doubles.
+struct LensCandidates {
+  std::vector<double> near, far;
+  size_t zero = 0;  ///< index of the near value closest to k = 0
+};
+
+const LensCandidates& Lens() {
+  static const LensCandidates kLens = [] {
+    LensCandidates c;
+    for (double k = -0.008; k <= 0.008001; k += 0.0004) c.near.push_back(k);
+    for (double mag = 0.0088; mag <= 0.03001; mag += 0.0008) {
+      c.far.push_back(mag);
+    }
+    for (size_t i = 1; i < c.near.size(); ++i) {
+      if (std::abs(c.near[i]) < std::abs(c.near[c.zero])) c.zero = i;
+    }
+    return c;
+  }();
+  return kLens;
+}
+
+/// The coarse lens pass scores every kLensStride-th candidate; the fine
+/// pass scores the kLensStride - 1 candidates on each side of the winner.
+constexpr size_t kLensStride = 4;
+
 }  // namespace
 
 Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
@@ -326,25 +354,49 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
     return ring + 2.0 * std::abs(sync) / n;
   };
 
-  // Plain argmax over the physically plausible lens range; candidates
-  // beyond it (the score can have spurious far-away optima on very large
-  // emblems) are only accepted on a clear margin.
+  // The score rises slowly and almost monotonically across neighbouring
+  // candidates, so a coarse pass over every kLensStride-th candidate of each
+  // range finds the region and a fine pass over the winner's neighbours
+  // settles it. The plausible range is a plain argmax seeded with k = 0.
+  // A far candidate (the score can have spurious far-away optima on very
+  // large emblems) is only accepted on a clear margin; once one is, its
+  // neighbours compete with it alone.
+  const LensCandidates& lens = Lens();
   double best_k = 0;
   double best_score = calibration_score(0);
-  for (double k = -0.008; k <= 0.008001; k += 0.0004) {
-    const double s = calibration_score(k);
+  const std::vector<double>* range = &lens.near;
+  size_t best_i = lens.zero;
+  bool negative = false;
+  for (size_t i = 0; i < lens.near.size(); i += kLensStride) {
+    const double s = calibration_score(lens.near[i]);
     if (s > best_score) {
       best_score = s;
-      best_k = k;
+      best_k = lens.near[i];
+      best_i = i;
     }
   }
-  for (double mag = 0.0088; mag <= 0.03001; mag += 0.0008) {
-    for (double k : {mag, -mag}) {
+  for (size_t i = 0; i < lens.far.size(); i += kLensStride) {
+    for (bool neg : {false, true}) {
+      const double k = neg ? -lens.far[i] : lens.far[i];
       const double s = calibration_score(k);
       if (s > best_score * 1.02 + 1.0) {
         best_score = s;
         best_k = k;
+        range = &lens.far;
+        best_i = i;
+        negative = neg;
       }
+    }
+  }
+  const size_t lo = best_i - std::min(best_i, kLensStride - 1);
+  const size_t hi = std::min(best_i + kLensStride - 1, range->size() - 1);
+  for (size_t i = lo; i <= hi; ++i) {
+    if (i % kLensStride == 0) continue;  // scored by the coarse pass
+    const double k = negative ? -(*range)[i] : (*range)[i];
+    const double s = calibration_score(k);
+    if (s > best_score) {
+      best_score = s;
+      best_k = k;
     }
   }
 

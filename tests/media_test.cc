@@ -157,6 +157,36 @@ TEST(ImageTest, RejectsGarbage) {
   EXPECT_FALSE(Image::FromPgm(ToBytes("P5\n10 10\n255\n")).ok());  // truncated
 }
 
+// Header values are parsed into int: one that does not fit is Corruption,
+// never a signed overflow, and one that fits but exceeds the body is
+// rejected before anything is allocated for it.
+TEST(ImageTest, RejectsHugePgmHeaderValues) {
+  for (const char* header :
+       {"P5\n99999999999 1\n255\n", "P5\n1 99999999999\n255\n",
+        "P5\n1 1\n99999999999\n", "P5\n2147483648 1\n255\n",
+        "P5\n2147483647 1\n255\n", "P5\n2147483647 2147483647\n255\n",
+        "P5\n1 1\n2147483647\n"}) {
+    Bytes pgm = ToBytes(header);
+    pgm.push_back(0);
+    auto img = Image::FromPgm(pgm);
+    ASSERT_FALSE(img.ok()) << header;
+    EXPECT_EQ(img.status().code(), StatusCode::kCorruption) << header;
+  }
+}
+
+TEST(ImageTest, RejectsHugePbmHeaderValues) {
+  for (const char* header :
+       {"P4\n99999999999 1\n", "P4\n1 99999999999\n",
+        "P4\n2147483648 1\n", "P4\n2147483647 1\n",
+        "P4\n2147483647 2147483647\n", "P4\n8 2147483647\n"}) {
+    Bytes pbm = ToBytes(header);
+    pbm.push_back(0);
+    auto img = Image::FromPbm(pbm);
+    ASSERT_FALSE(img.ok()) << header;
+    EXPECT_EQ(img.status().code(), StatusCode::kCorruption) << header;
+  }
+}
+
 TEST(ScannerTest, IdentityProfileIsNearLossless) {
   Image img = Checkerboard(100, 100, 5);
   ScanProfile clean;  // all defaults

@@ -3,11 +3,13 @@
 ///
 /// A verbatim copy of `mocoder::SampleEmblem` and the `media::Image` pixel
 /// accessors as they were before the detector was rewritten for speed
-/// (inline pixel access, row-run border box, batched lattice transform).
-/// The production sampler must reproduce this one bit for bit: the same
-/// output bytes, the same `DetectInfo` doubles and the same `Status` code.
-/// `detect_diff_test.cc` and `BM_SampleEmblem` compare against it. Do not
-/// "improve" this file; it is the specification.
+/// (inline pixel access, row-run border box, batched lattice transform,
+/// coarse-to-fine lens search). The production sampler must be
+/// decode-equivalent to this one, and reproduce it bit for bit wherever
+/// both calibrate the same lens coefficient: detect_equivalence.h states
+/// the contract, which `detect_diff_test.cc`, `detect_sweep_test.cc` and
+/// `BM_SampleEmblem` check. Do not "improve" this file; it is the
+/// specification.
 
 #ifndef ULE_TESTS_REFERENCE_DETECT_H_
 #define ULE_TESTS_REFERENCE_DETECT_H_

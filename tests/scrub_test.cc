@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -112,6 +113,10 @@ constexpr FaultCase kFaultCases[] = {
     {"corrupt_catalog_parity", FaultKind::kCorruptCatalogParity,
      ArchiveState::kDataLoss, ArchiveState::kDataLoss},
 };
+
+// Prints the case by name, so the ctest names of the matrix (which carry
+// GetParam()) stay the same from run to run instead of dumping its pointer.
+void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
 
 /// Matrix axis 2: frames per reel, which sets how many data reels the
 /// fixed stream shards into (m = 2 parity reels throughout).
