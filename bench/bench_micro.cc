@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the primitives every experiment
 // rests on: GF(256) RS coding, differential-Manchester emblem building,
-// emblem detection, range coding, LZ77 parsing and the two emulators.
+// emblem rendering, detection and inner decoding, range coding, LZ77
+// parsing and the two emulators.
 // Complements the table-style experiment benches with statistically solid
 // numbers.
 
@@ -127,22 +128,36 @@ void BM_EmblemBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_EmblemBuild)->Arg(65)->Arg(128)->Arg(256);
 
-// ---- Emblem detection: one A4 scan at data_side 128, 4 dots/cell -------
+// ---- One A4 frame at data_side 128, 4 dots/cell: render, detect, decode -
 
-const media::Image& A4Scan() {
-  static const media::Image kScan = [] {
+const mocoder::CellGrid& A4Grid() {
+  static const mocoder::CellGrid kGrid = [] {
     const int n = 128;
     const Bytes payload = RandomBytes(6, static_cast<size_t>(
                                              mocoder::EmblemCapacity(n)));
     mocoder::EmblemHeader h;
     h.stream_len = static_cast<uint32_t>(payload.size());
     h.payload_crc = Crc32(payload);
-    const media::Image printed =
-        mocoder::RenderEmblem(mocoder::BuildEmblem(h, payload, n).value(), 4);
-    return media::Scan(printed, media::PaperA4Laser600().scan);
+    return mocoder::BuildEmblem(h, payload, n).value();
   }();
+  return kGrid;
+}
+
+const media::Image& A4Scan() {
+  static const media::Image kScan =
+      media::Scan(mocoder::RenderEmblem(A4Grid(), 4),
+                  media::PaperA4Laser600().scan);
   return kScan;
 }
+
+void BM_RenderEmblem(benchmark::State& state) {
+  const mocoder::CellGrid& grid = A4Grid();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mocoder::RenderEmblem(grid, 4));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RenderEmblem)->Unit(benchmark::kMillisecond);
 
 void BM_SampleEmblem(benchmark::State& state) {
   const media::Image& scan = A4Scan();
@@ -161,6 +176,25 @@ void BM_SampleEmblem(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SampleEmblem)->Unit(benchmark::kMillisecond);
+
+void BM_DecodeEmblemIntensities(benchmark::State& state) {
+  auto grid = mocoder::SampleEmblem(A4Scan(), 128);
+  if (!grid.ok()) {
+    state.SkipWithError(grid.status().ToString().c_str());
+    return;
+  }
+  mocoder::EmblemHeader h;
+  if (!mocoder::DecodeEmblemIntensities(grid.value(), 128, &h).ok()) {
+    state.SkipWithError("the A4 scan does not decode");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        mocoder::DecodeEmblemIntensities(grid.value(), 128, &h));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DecodeEmblemIntensities)->Unit(benchmark::kMillisecond);
 
 void BM_RangeCoderBit(benchmark::State& state) {
   Rng rng(6);

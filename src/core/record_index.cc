@@ -172,7 +172,8 @@ Result<RecordIndex> RecordIndex::Parse(BytesView bytes) {
       return Status::Corruption("record-index chunk " + std::to_string(i) +
                                 " is not contiguous with its predecessor");
     }
-    if (c.stream_offset + c.stream_len > index.stream_len) {
+    if (c.stream_offset > index.stream_len ||
+        c.stream_len > index.stream_len - c.stream_offset) {
       return Status::Corruption("record-index chunk " + std::to_string(i) +
                                 " points outside the DBCoder stream");
     }

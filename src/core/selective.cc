@@ -275,11 +275,11 @@ Status SelectiveRestorer::RecoverGroup(int group) {
 
 Result<Bytes> SelectiveRestorer::StreamSlice(uint64_t offset, uint64_t len) {
   Bytes out;
-  out.reserve(len);
   if (len == 0) return out;
-  if (offset + len > index_.stream_len) {
+  if (offset > index_.stream_len || len > index_.stream_len - offset) {
     return Status::InvalidArgument("stream slice past the end");
   }
+  out.reserve(len);
   const uint64_t cap = static_cast<uint64_t>(capacity_);
   const int first = static_cast<int>(offset / cap);
   const int last = static_cast<int>((offset + len + cap - 1) / cap);

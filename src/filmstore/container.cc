@@ -393,10 +393,14 @@ Result<std::unique_ptr<ContainerReader>> ContainerReader::Open(
     ULE_RETURN_IF_ERROR(r.GetU32(&index_count));
     ULE_RETURN_IF_ERROR(r.GetU32(&index_crc));
   }
+  // Checked by subtraction (file_size >= kHeaderBytes + kFooterBytes
+  // above): a sum of footer fields can wrap past 2^64 and pass, and the
+  // index read would then allocate whatever index_count claims.
   const uint64_t index_bytes =
       static_cast<uint64_t>(index_count) * kIndexEntryBytes;
   if (index_offset < kHeaderBytes ||
-      index_offset + index_bytes + kFooterBytes != file_size) {
+      index_offset > file_size - kFooterBytes ||
+      index_bytes != file_size - kFooterBytes - index_offset) {
     return Status::Corruption("container index does not fit the file: " +
                               path);
   }
@@ -425,7 +429,8 @@ Result<std::unique_ptr<ContainerReader>> ContainerReader::Open(
     e.type = static_cast<RecordType>(type);
     e.codec = static_cast<FrameCodec>(codec);
     if (e.offset < kHeaderBytes + kRecordHeaderBytes ||
-        e.offset + e.payload_len > index_offset) {
+        e.offset > index_offset ||
+        e.payload_len > index_offset - e.offset) {
       return Status::Corruption("container index entry " + std::to_string(i) +
                                 " points outside the record region: " + path);
     }

@@ -1,6 +1,8 @@
 #include "mocoder/emblem.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 
 #include "rs/reed_solomon.h"
 #include "support/crc32.h"
@@ -268,15 +270,29 @@ Result<Bytes> DecodeEmblemIntensities(BytesView intensities, int data_side,
 
 media::Image RenderEmblem(const CellGrid& grid, int dots_per_cell,
                           int quiet_cells) {
+  assert(dots_per_cell >= 1 && quiet_cells >= 0);
   const int side_px = (grid.side + 2 * quiet_cells) * dots_per_cell;
   media::Image img(side_px, side_px, 255);
+  const size_t stride = static_cast<size_t>(side_px);
+  const size_t dots = static_cast<size_t>(dots_per_cell);
+  uint8_t* const pixels = img.mutable_pixels().data();
+  // Each cell row is one pixel row of black runs, copied down the other
+  // dots_per_cell - 1 rows; the quiet zone keeps its white fill.
   for (int y = 0; y < grid.side; ++y) {
-    for (int x = 0; x < grid.side; ++x) {
-      if (grid.at(x, y)) {
-        img.FillRect((x + quiet_cells) * dots_per_cell,
-                     (y + quiet_cells) * dots_per_cell, dots_per_cell,
-                     dots_per_cell, 0);
+    uint8_t* const row =
+        pixels + static_cast<size_t>(y + quiet_cells) * dots * stride;
+    for (int x = 0; x < grid.side;) {
+      if (!grid.at(x, y)) {
+        ++x;
+        continue;
       }
+      const int run_begin = x;
+      while (x < grid.side && grid.at(x, y)) ++x;
+      std::memset(row + static_cast<size_t>(run_begin + quiet_cells) * dots,
+                  0, static_cast<size_t>(x - run_begin) * dots);
+    }
+    for (size_t r = 1; r < dots; ++r) {
+      std::memcpy(row + r * stride, row, stride);
     }
   }
   return img;

@@ -99,7 +99,8 @@ Result<Bytes> DecodeEmblemIntensities(BytesView intensities, int data_side,
                                       EmblemHeader* header,
                                       EmblemDecodeInfo* info = nullptr);
 
-/// Renders a cell grid to pixels at `dots_per_cell`, with a quiet zone.
+/// Renders a cell grid to pixels at `dots_per_cell` (≥ 1), with a quiet
+/// zone of `quiet_cells` (≥ 0) white cells on every side.
 media::Image RenderEmblem(const CellGrid& grid, int dots_per_cell,
                           int quiet_cells = 2);
 

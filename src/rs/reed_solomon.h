@@ -77,9 +77,16 @@ class Codec {
   uint8_t SyndromeFactor(int i, int pos) const;
 
  private:
+  /// All parity() syndromes of an n-byte word, one MulSliceAccum of a
+  /// factor row per nonzero byte. Returns whether every syndrome is zero.
+  bool Syndromes(const uint8_t* word, uint8_t* synd) const;
+
   int n_;
   int k_;
   Bytes generator_;  // monic generator polynomial, descending powers
+  /// Row pos holds SyndromeFactor(i, pos) for i in [0, parity()): n rows
+  /// of parity() bytes, built once.
+  Bytes syndrome_rows_;
 };
 
 /// Inverts a square GF(256) matrix by Gauss–Jordan elimination. Every

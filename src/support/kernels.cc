@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "support/kernels_internal.h"
+#include "support/kernels_lens.h"
 
 namespace ule {
 namespace kernels {
@@ -108,24 +109,28 @@ struct Registry {
   std::vector<const KernelSet*> available;
 
   Registry() {
-    scalar = KernelSet{"scalar", "slice8", "scalar", &internal::Crc32Slice8,
-                       &Gf256MulAccumScalar};
+    scalar = KernelSet{"scalar", "slice8", "scalar", "generic",
+                       &internal::Crc32Slice8, &Gf256MulAccumScalar,
+                       &internal::LensMapLanes};
     available.push_back(&scalar);
 
     const internal::IsaKernels& s3 = internal::Ssse3Raw();
     const bool pclmul_ok = s3.crc32_pclmul != nullptr && CpuHas("pclmul");
     if (s3.gf256_mul_accum != nullptr && CpuHas("ssse3")) {
+      // The lens map has no 128-bit variant; this tier keeps the portable one.
       ssse3 = KernelSet{"ssse3", pclmul_ok ? "pclmul" : "slice8", "pshufb128",
+                        scalar.lens_name,
                         pclmul_ok ? s3.crc32_pclmul : &internal::Crc32Slice8,
-                        s3.gf256_mul_accum};
+                        s3.gf256_mul_accum, scalar.lens_map};
       available.push_back(&ssse3);
     }
     const internal::IsaKernels& a2 = internal::Avx2Raw();
     if (a2.gf256_mul_accum != nullptr && CpuHas("avx2")) {
       // The PCLMUL fold is 128-bit either way; the avx2 tier reuses it.
       avx2 = KernelSet{"avx2", pclmul_ok ? "pclmul" : "slice8", "pshufb256",
+                       "avx256",
                        pclmul_ok ? s3.crc32_pclmul : &internal::Crc32Slice8,
-                       a2.gf256_mul_accum};
+                       a2.gf256_mul_accum, a2.lens_map};
       available.push_back(&avx2);
     }
   }
@@ -210,6 +215,8 @@ std::string Describe() {
   out += a.crc32_name;
   out += ", gf256=";
   out += a.gf256_name;
+  out += ", lens=";
+  out += a.lens_name;
   out += "); available:";
   for (const KernelSet* k : Available()) {
     out += ' ';

@@ -3,11 +3,13 @@
 ///
 /// Everything durability-related digests whole files: `ulectl scrub` and
 /// parity assessment CRC every byte of every reel, and the ULE-P1 stripe
-/// transform runs a GF(256) multiply-accumulate over entire reel images.
-/// Those two primitives — CRC-32 (IEEE, reflected 0xEDB88320) and
-/// `dst[i] ^= factor * src[i]` over GF(2^8)/0x11D — are therefore the
-/// only places in the tree where instruction selection matters, and this
-/// header is their single home.
+/// transform runs a GF(256) multiply-accumulate over entire reel images
+/// (the inner and outer RS syndromes run on it too). Every restore also
+/// maps the emblem lattice through the calibrated lens model for each
+/// scanned frame. Those three primitives — CRC-32 (IEEE, reflected
+/// 0xEDB88320), `dst[i] ^= factor * src[i]` over GF(2^8)/0x11D and the
+/// lens map — are therefore the only places in the tree where
+/// instruction selection matters, and this header is their single home.
 ///
 /// Design:
 ///  * one `KernelSet` per ISA tier — `scalar` (portable, always
@@ -23,9 +25,14 @@
 ///  * every variant is **byte-identical to scalar by contract** — this
 ///    is an archival format, so a kernel that is "almost right" writes
 ///    checksums and parity that a future reader cannot reproduce. The
-///    differential suite (tests/kernels_test.cc) asserts identity over
-///    all compiled variants at every length 0..1025 and offset 0..31,
-///    and CI runs the whole test matrix again with ULE_KERNELS=scalar.
+///    lens map is floating point: its variants compile one
+///    vector-extension source without fused multiply-add, so every lane
+///    performs the same IEEE operations in the same order and the
+///    doubles are bit-identical too. The differential suite
+///    (tests/kernels_test.cc) asserts identity over all compiled
+///    variants at every length 0..1025 and offset 0..31 (lens map:
+///    random frames and coefficients, lengths 0..67), and CI runs the
+///    whole test matrix again with ULE_KERNELS=scalar.
 ///
 /// Callers generally go through the domain wrappers (`ule::Crc32`,
 /// `rs::Gf256::MulSliceAccum`) rather than this header directly.
@@ -54,17 +61,37 @@ using Crc32Fn = uint32_t (*)(uint32_t crc, const uint8_t* data, size_t n);
 using Gf256MulAccumFn = void (*)(uint8_t* dst, const uint8_t* src,
                                  uint8_t factor, size_t n);
 
+/// The calibrated lens model of one scanned emblem: the undistorted
+/// corners of its lattice frame and the radial distortion about (cx, cy),
+/// radii in units of `norm`.
+struct LensFrame {
+  double tl_x = 0, tl_y = 0, tr_x = 0, tr_y = 0;
+  double bl_x = 0, bl_y = 0, br_x = 0, br_y = 0;
+  double cx = 0, cy = 0, norm = 1, k = 0;
+};
+
+/// Lens map: lattice points given as frame fractions (u[i], v[i]) for i
+/// in [0, n) go to scan pixels (xs[i], ys[i]) — bilinear in the
+/// undistorted frame, then the forward distortion
+/// r_d (1 + k r̂_d²) = r_u by three fixed-point steps.
+using LensMapFn = void (*)(const LensFrame& frame, const double* u,
+                           const double* v, size_t n, double* xs,
+                           double* ys);
+
 /// One ISA tier's kernels plus the names a human needs in a bug report.
 struct KernelSet {
   const char* name = "";        ///< "scalar" | "ssse3" | "avx2"
   const char* crc32_name = "";  ///< "slice8" | "pclmul"
   const char* gf256_name = "";  ///< "scalar" | "pshufb128" | "pshufb256"
+  const char* lens_name = "";   ///< "generic" | "avx256"
   Crc32Fn crc32_update = nullptr;
   Gf256MulAccumFn gf256_mul_accum = nullptr;
+  LensMapFn lens_map = nullptr;
 };
 
-/// The portable baseline (slice-by-8 CRC, split-nibble table GF). Always
-/// available; the reference every other variant is tested against.
+/// The portable baseline (slice-by-8 CRC, split-nibble table GF, the
+/// generic vector-extension lens map). Always available; the reference
+/// every other variant is tested against.
 const KernelSet& Scalar();
 
 /// Every compiled variant the *current CPU* can run, in ascending tier
@@ -90,7 +117,8 @@ const KernelSet& Active();
 const KernelSet& Resolve(std::string_view setting);
 
 /// One line for `ulectl version` / bug reports, e.g.
-/// "avx2 (crc32=pclmul, gf256=pshufb256); available: scalar ssse3 avx2".
+/// "avx2 (crc32=pclmul, gf256=pshufb256, lens=avx256); available: scalar
+/// ssse3 avx2".
 std::string Describe();
 
 /// Convenience forwarders through Active().
@@ -100,6 +128,10 @@ inline uint32_t Crc32Update(uint32_t crc, const uint8_t* data, size_t n) {
 inline void Gf256MulAccum(uint8_t* dst, const uint8_t* src, uint8_t factor,
                           size_t n) {
   Active().gf256_mul_accum(dst, src, factor, n);
+}
+inline void LensMap(const LensFrame& frame, const double* u, const double* v,
+                    size_t n, double* xs, double* ys) {
+  Active().lens_map(frame, u, v, n, xs, ys);
 }
 
 }  // namespace kernels

@@ -1,13 +1,17 @@
 /// \file kernels_avx2.cc
-/// \brief AVX2-tier GF(256) multiply-accumulate: the same split-nibble
-/// PSHUFB scheme as the ssse3 tier, 32 bytes per VPSHUFB pair.
+/// \brief AVX2-tier kernels: GF(256) multiply-accumulate on the same
+/// split-nibble PSHUFB scheme as the ssse3 tier, 32 bytes per VPSHUFB
+/// pair, and the lens map (support/kernels_lens.h) four doubles per
+/// 256-bit operation.
 ///
-/// Compiled with `-mavx2` on x86 (src/CMakeLists.txt); elsewhere the
-/// guard compiles this file down to a null pointer and the dispatcher
-/// never offers the tier. The CRC fold stays 128-bit (PCLMULQDQ), so
-/// the avx2 KernelSet borrows the ssse3 tier's CRC in kernels.cc.
+/// Compiled with `-mavx2 -ffp-contract=off` on x86 (src/CMakeLists.txt);
+/// elsewhere the guard compiles this file down to null pointers and the
+/// dispatcher never offers the tier. The CRC fold stays 128-bit
+/// (PCLMULQDQ), so the avx2 KernelSet borrows the ssse3 tier's CRC in
+/// kernels.cc.
 
 #include "support/kernels_internal.h"
+#include "support/kernels_lens.h"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -58,6 +62,7 @@ const IsaKernels& Avx2Raw() {
     IsaKernels k;
 #if defined(__AVX2__)
     k.gf256_mul_accum = &Gf256MulAccumAvx2;
+    k.lens_map = &LensMapLanes;
 #endif
     return k;
   }();

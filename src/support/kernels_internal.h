@@ -28,6 +28,7 @@ namespace internal {
 struct IsaKernels {
   Crc32Fn crc32_pclmul = nullptr;  ///< needs runtime PCLMULQDQ + SSE4.1
   Gf256MulAccumFn gf256_mul_accum = nullptr;
+  LensMapFn lens_map = nullptr;
 };
 
 const IsaKernels& Ssse3Raw();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <functional>
@@ -19,6 +20,7 @@
 #include "filmstore/frame_store.h"
 #include "filmstore/reel_reader.h"
 #include "mocoder/mocoder.h"
+#include "support/crc32.h"
 #include "support/io.h"
 #include "support/random.h"
 
@@ -449,6 +451,55 @@ TEST_F(ContainerFaultTest, FooterMagicFlipIsRejected) {
   auto reader = ContainerReader::Open(Mutated(bytes, "badfooter.ulec"));
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+}
+
+// Little-endian field write into a hand-crafted file image.
+void PutLe(Bytes* bytes, size_t at, uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    (*bytes)[at + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST_F(ContainerFaultTest, FooterWhoseIndexWrapsIsRejectedBeforeReading) {
+  // A valid header and a footer only: index_count 0xFFFFFFFF claims an
+  // ~86 GB index, and index_offset is chosen so that index_offset +
+  // index bytes + footer wraps past 2^64 to exactly the 36-byte file
+  // size. The fit check must catch it before the index is read (and
+  // allocated).
+  Bytes bytes(pristine_.begin(), pristine_.begin() + 16);
+  bytes.resize(36, 0);
+  const uint64_t index_bytes = uint64_t{0xFFFFFFFF} * 20;
+  PutLe(&bytes, 16, uint64_t{16} - index_bytes, 8);
+  PutLe(&bytes, 24, 0xFFFFFFFF, 4);
+  std::copy_n("CIDX", 4, bytes.begin() + 32);
+  auto reader = ContainerReader::Open(Mutated(bytes, "wrapped_index.ulec"));
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption)
+      << reader.status().ToString();
+}
+
+TEST_F(ContainerFaultTest, IndexEntryWhosePayloadWrapsIsRejected) {
+  // Entry 0 gets a ~4 GB payload length and an offset for which offset +
+  // length wraps past 2^64 to a small number inside the record region;
+  // the index CRC is recomputed, so only the per-entry bound can catch
+  // it (a read would allocate the whole claimed payload).
+  Bytes bytes = pristine_;
+  const size_t footer = bytes.size() - 20;
+  uint64_t index_offset = 0;
+  for (int i = 0; i < 8; ++i) {
+    index_offset |= static_cast<uint64_t>(bytes[footer + i]) << (8 * i);
+  }
+  const uint32_t payload_len = 0xFFFFFFF0u;
+  PutLe(&bytes, index_offset, uint64_t{100} - payload_len, 8);
+  PutLe(&bytes, index_offset + 8, payload_len, 4);
+  PutLe(&bytes, footer + 12,
+        Crc32(BytesView(bytes).subspan(index_offset, footer - index_offset)),
+        4);
+  auto reader = ContainerReader::Open(Mutated(bytes, "wrapped_entry.ulec"));
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption)
+      << reader.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Differential tests for the runtime-dispatched SIMD kernel layer
 // (support/kernels.h). The contract under test: every compiled variant
-// is byte-identical to the scalar baseline — for an archival format, a
+// is byte-identical to the scalar baseline (the lens map's doubles bit
+// for bit) — for an archival format, a
 // kernel that is "almost right" writes checksums and parity a future
 // reader cannot reproduce.
 //
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -156,6 +159,57 @@ TEST(KernelsDifferentialTest, StripeTransformCombinationMatchesReference) {
         }
         ASSERT_EQ(want, got) << "len=" << len << " off=" << off;
       }
+    }
+  }
+}
+
+// The lens map is floating point: every variant must give the portable
+// tier's doubles bit for bit (compared as bit patterns), on random
+// frames and coefficients, at lengths that end in a partial batch, and
+// must not write past n.
+TEST(KernelsDifferentialTest, LensMapAllVariantsMatchScalarBitForBit) {
+  Rng rng(0x1E25);
+  const KernelSet& scalar = Scalar();
+  for (int trial = 0; trial < 200; ++trial) {
+    const double side = 200 + 800 * rng.NextDouble();
+    const double x0 = 40 * rng.NextDouble(), y0 = 40 * rng.NextDouble();
+    auto jitter = [&] { return 6 * (rng.NextDouble() - 0.5); };
+    LensFrame f;
+    f.tl_x = x0 + jitter();
+    f.tl_y = y0 + jitter();
+    f.tr_x = x0 + side + jitter();
+    f.tr_y = y0 + jitter();
+    f.bl_x = x0 + jitter();
+    f.bl_y = y0 + side + jitter();
+    f.br_x = x0 + side + jitter();
+    f.br_y = y0 + side + jitter();
+    f.cx = (f.tl_x + f.tr_x + f.bl_x + f.br_x) / 4;
+    f.cy = (f.tl_y + f.tr_y + f.bl_y + f.br_y) / 4;
+    f.norm = side / std::sqrt(2.0) * (0.9 + 0.2 * rng.NextDouble());
+    f.k = trial == 0 ? 0.0 : 0.060 * (rng.NextDouble() - 0.5);  // ±0.030
+    const size_t n = static_cast<size_t>(trial % 68);  // 0..67
+    std::vector<double> u(n), v(n);
+    for (size_t i = 0; i < n; ++i) {
+      u[i] = rng.Chance(0.1) ? 0.0 : rng.NextDouble();
+      v[i] = rng.Chance(0.1) ? 1.0 : rng.NextDouble();
+    }
+    // Two sentinel slots past n catch overruns.
+    std::vector<double> want_x(n + 2, -1.5), want_y(n + 2, -1.5);
+    scalar.lens_map(f, u.data(), v.data(), n, want_x.data(), want_y.data());
+    ASSERT_EQ(want_x[n], -1.5);
+    ASSERT_EQ(want_y[n + 1], -1.5);
+    for (const KernelSet* k : Available()) {
+      SCOPED_TRACE(k->name);
+      std::vector<double> got_x(n + 2, -1.5), got_y(n + 2, -1.5);
+      k->lens_map(f, u.data(), v.data(), n, got_x.data(), got_y.data());
+      ASSERT_EQ(std::memcmp(want_x.data(), got_x.data(),
+                            want_x.size() * sizeof(double)),
+                0)
+          << "trial=" << trial << " n=" << n << " k=" << f.k;
+      ASSERT_EQ(std::memcmp(want_y.data(), got_y.data(),
+                            want_y.size() * sizeof(double)),
+                0)
+          << "trial=" << trial << " n=" << n << " k=" << f.k;
     }
   }
 }

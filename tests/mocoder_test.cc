@@ -241,6 +241,51 @@ TEST(EmblemTest, ExcessDamageFailsCleanly) {
   EXPECT_FALSE(back.ok());
 }
 
+// The row-wise renderer must give exactly the bytes of one FillRect per
+// black cell, for real emblems and for random grids whose black runs
+// touch both edges.
+media::Image RenderWithFillRect(const CellGrid& grid, int dots, int quiet) {
+  const int side_px = (grid.side + 2 * quiet) * dots;
+  media::Image img(side_px, side_px, 255);
+  for (int y = 0; y < grid.side; ++y) {
+    for (int x = 0; x < grid.side; ++x) {
+      if (grid.at(x, y)) {
+        img.FillRect((x + quiet) * dots, (y + quiet) * dots, dots, dots, 0);
+      }
+    }
+  }
+  return img;
+}
+
+TEST(EmblemTest, RenderMatchesFillRectReference) {
+  Rng rng(12);
+  const Bytes payload = RandomPayload(&rng, EmblemCapacity(65));
+  auto emblem =
+      BuildEmblem(MakeHeader(StreamId::kData, 0, payload), payload, 65);
+  ASSERT_TRUE(emblem.ok());
+  CellGrid random;
+  random.side = 23;
+  random.cells.resize(static_cast<size_t>(random.side) * random.side);
+  for (uint8_t& c : random.cells) c = rng.Chance(0.5) ? 1 : 0;
+  for (int i = 0; i < random.side; ++i) {
+    random.set(i, 0, 1);                // an all-black row
+    random.set(random.side - 1, i, 1);  // runs that end at the right edge
+  }
+  for (const CellGrid* grid : {&emblem.value(), &random}) {
+    for (int dots = 1; dots <= 6; ++dots) {
+      for (int quiet = 0; quiet <= 4; ++quiet) {
+        const media::Image got = RenderEmblem(*grid, dots, quiet);
+        const media::Image want = RenderWithFillRect(*grid, dots, quiet);
+        ASSERT_EQ(got.width(), want.width());
+        ASSERT_EQ(got.height(), want.height());
+        ASSERT_EQ(got.pixels(), want.pixels())
+            << "side=" << grid->side << " dots=" << dots
+            << " quiet=" << quiet;
+      }
+    }
+  }
+}
+
 // ---------------- detection through print & scan ----------------
 
 TEST(DetectTest, CleanRenderAndSample) {

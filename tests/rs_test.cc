@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "rs/gf256.h"
 #include "rs/reed_solomon.h"
 #include "support/random.h"
+#include "tests/reference_rs.h"
 
 namespace ule {
 namespace rs {
@@ -358,6 +360,97 @@ TEST_P(RsSinglePosition, AnySinglePositionCorrectable) {
 
 INSTANTIATE_TEST_SUITE_P(AllPositions, RsSinglePosition,
                          ::testing::Range(0, 20));
+
+// ---------- Differential: kernel syndromes vs the Horner reference ----------
+
+// Decodes `cw` with both decoders and requires the same bytes, Status
+// code and message, and DecodeInfo (left untouched on failure).
+void ExpectSameAsReference(const Codec& codec, const Bytes& cw,
+                           const std::vector<int>& erasures,
+                           const std::string& what) {
+  SCOPED_TRACE(what);
+  DecodeInfo got_info{-7, -7};
+  DecodeInfo want_info{-7, -7};
+  auto got = codec.Decode(cw, erasures, &got_info);
+  auto want =
+      reference::Decode(codec.n(), codec.k(), cw, erasures, &want_info);
+  ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString() << " vs "
+                                 << want.status().ToString();
+  EXPECT_EQ(got.status().code(), want.status().code());
+  EXPECT_EQ(got.status().message(), want.status().message());
+  if (got.ok()) {
+    EXPECT_EQ(got.value(), want.value());
+  }
+  EXPECT_EQ(got_info.errors_corrected, want_info.errors_corrected);
+  EXPECT_EQ(got_info.erasures_corrected, want_info.erasures_corrected);
+}
+
+class RsReferenceDiffTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(RsReferenceDiffTest, MatchesHornerReference) {
+  const auto [n, k] = GetParam();
+  const int r = n - k;
+  const Codec codec(n, k);
+  Rng rng(static_cast<uint64_t>(n * 7919 + k));
+  int decoded = 0, failed = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const Bytes data = RandomPayload(&rng, k);
+    Bytes cw = codec.Encode(data).TakeValue();
+    // Errors from none up to past the budget, erasures from none up to
+    // one past the parity, so correction, exact-budget and over-capacity
+    // words all appear for every shape.
+    const int nerase = trial % 3 == 0
+                           ? 0
+                           : static_cast<int>(rng.Below(
+                                 static_cast<uint64_t>(r + 2)));
+    const int nerr = static_cast<int>(
+        rng.Below(static_cast<uint64_t>(std::max(r - nerase, 0) / 2 + 3)));
+    std::set<int> touched;
+    while (static_cast<int>(touched.size()) < std::min(nerr + nerase, n)) {
+      touched.insert(static_cast<int>(rng.Below(static_cast<uint64_t>(n))));
+    }
+    std::vector<int> positions(touched.begin(), touched.end());
+    std::vector<int> erasures;
+    for (size_t i = 0; i < positions.size(); ++i) {
+      const int p = positions[i];
+      // An erased byte may or may not actually be damaged.
+      if (static_cast<int>(i) >= nerase || rng.Chance(0.8)) {
+        cw[static_cast<size_t>(p)] ^= static_cast<uint8_t>(1 + rng.Below(255));
+      }
+      if (static_cast<int>(i) < nerase) erasures.push_back(p);
+    }
+    ExpectSameAsReference(codec, cw, erasures,
+                          "trial " + std::to_string(trial) + " errors " +
+                              std::to_string(nerr) + " erasures " +
+                              std::to_string(nerase));
+    (codec.Decode(cw, erasures).ok() ? decoded : failed) += 1;
+  }
+  // The sweep covers both outcomes.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(failed, 0);
+
+  // Words that are no codeword at all, duplicate and out-of-range
+  // erasures, and a wrong length take the same early exits.
+  for (int trial = 0; trial < 50; ++trial) {
+    ExpectSameAsReference(codec, RandomPayload(&rng, n), {}, "random word");
+  }
+  const Bytes clean = codec.Encode(RandomPayload(&rng, k)).TakeValue();
+  ExpectSameAsReference(codec, clean, {0, 0, n - 1}, "duplicate erasures");
+  ExpectSameAsReference(codec, clean, {n}, "erasure out of range");
+  ExpectSameAsReference(codec, Bytes(clean.begin(), clean.end() - 1), {},
+                        "short word");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RsReferenceDiffTest,
+    ::testing::Values(std::tuple<int, int>{255, 223},
+                      std::tuple<int, int>{20, 17},
+                      std::tuple<int, int>{6, 4}),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return "RS_" + std::to_string(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace rs

@@ -200,6 +200,26 @@ TEST(RecordIndexTest, SerializeParseRoundTrips) {
   EXPECT_EQ(unknown.status().code(), StatusCode::kUnimplemented);
 }
 
+TEST(RecordIndexTest, ChunkWhoseStreamRangeWrapsIsRejected) {
+  const std::string& dump = TestDump();
+  auto stream = dbcoder::Encode(
+      BytesView(reinterpret_cast<const uint8_t*>(dump.data()), dump.size()),
+      dbcoder::Scheme::kLzac);
+  ASSERT_TRUE(stream.ok());
+  auto index = DeriveRecordIndex(dump, stream.value(), 16 * 1024);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_FALSE(index.value().chunks.empty());
+  // stream_offset + stream_len wraps past 2^64 to 4, inside the stream;
+  // Serialize() writes a valid CRC, so only the range check can refuse it.
+  RecordIndex crafted = index.value();
+  crafted.chunks[0].stream_offset = ~uint64_t{0} - 5;
+  crafted.chunks[0].stream_len = 10;
+  auto parsed = RecordIndex::Parse(crafted.Serialize());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption)
+      << parsed.status().ToString();
+}
+
 TEST(RecordIndexTest, DeriveMatchesSegmentedStreamSpans) {
   const std::string& dump = TestDump();
   auto plan = PlanDumpChunks(dump, 16 * 1024);
