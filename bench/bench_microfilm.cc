@@ -414,7 +414,8 @@ SelectiveBench RunSelective(const std::string& table) {
   core::RestorePredicate pred;
   pred.table = table;
   // Open the restorer explicitly (not the one-shot) so the decoded-payload
-  // LRU's own hit/miss/eviction counters are observable afterwards.
+  // cache's own hit/miss/eviction/rejection counters are observable
+  // afterwards.
   const auto t1 = Clock::now();
   auto restorer = core::SelectiveRestorer::Open(*reader.value());
   if (!restorer.ok()) return out;
@@ -652,11 +653,12 @@ int main() {
                   static_cast<double>(sel.full.records), "records");
   report.AddGauge("selective_full_bytes_read",
                   static_cast<double>(sel.full.bytes), "bytes");
-  std::printf("%-42s %zu hit / %zu miss / %zu evicted\n",
-              "decoded-payload LRU",
+  std::printf("%-42s %zu hit / %zu miss / %zu evicted / %zu rejected\n",
+              "decoded-payload cache (frequency-gated)",
               static_cast<size_t>(sel.cache.hits),
               static_cast<size_t>(sel.cache.misses),
-              static_cast<size_t>(sel.cache.evictions));
+              static_cast<size_t>(sel.cache.evictions),
+              static_cast<size_t>(sel.cache.rejected));
   report.AddGauge("selective_cache_hits",
                   static_cast<double>(sel.cache.hits), "hits");
   report.AddGauge("selective_cache_misses",

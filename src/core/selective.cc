@@ -121,37 +121,55 @@ Result<std::string> ProjectRow(std::string_view line, size_t field_count,
 // ---------------------------------------------------------------------------
 // PayloadCache
 
+SelectiveRestorer::PayloadCache::PayloadCache(size_t budget,
+                                              size_t payload_bytes)
+    : budget_(budget), counts_(size_t{1} << 16) {
+  // Keys are u16, so no budget holds more than 2^16 payloads.
+  const size_t slots = std::clamp<size_t>(
+      budget / std::max<size_t>(payload_bytes, 1), 1, counts_.size());
+  sample_ = 10 * static_cast<uint64_t>(slots);
+}
+
+void SelectiveRestorer::PayloadCache::Halve() {
+  for (uint32_t& c : counts_) c >>= 1;
+  order_.clear();
+  for (const auto& [seq, entry] : entries_) order_.insert(KeyOf(seq, entry));
+  probes_ = 0;
+}
+
 const Bytes* SelectiveRestorer::PayloadCache::Get(uint16_t seq) {
   auto it = entries_.find(seq);
   if (it == entries_.end()) {
+    ++counts_[seq];
     ++counters_.misses;
-    return nullptr;
+  } else {
+    order_.erase(KeyOf(seq, it->second));
+    ++counts_[seq];
+    it->second.last_use = ++clock_;
+    order_.insert(KeyOf(seq, it->second));
+    ++counters_.hits;
   }
-  ++counters_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.second);
-  return &it->second.first;
+  if (++probes_ >= sample_) Halve();
+  return it == entries_.end() ? nullptr : &it->second.payload;
 }
 
-void SelectiveRestorer::PayloadCache::Put(uint16_t seq, Bytes payload) {
-  auto it = entries_.find(seq);
-  if (it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.second);
-    bytes_ -= it->second.first.size();
-    bytes_ += payload.size();
-    it->second.first = std::move(payload);
-  } else {
-    bytes_ += payload.size();
-    lru_.push_front(seq);
-    entries_.emplace(seq, std::make_pair(std::move(payload), lru_.begin()));
+void SelectiveRestorer::PayloadCache::Offer(uint16_t seq, Bytes payload) {
+  if (entries_.count(seq) != 0) return;  // same bytes already resident
+  if (bytes_ + payload.size() > budget_ && !order_.empty() &&
+      counts_[seq] <= order_.begin()->count) {
+    ++counters_.rejected;
+    return;
   }
-  while (bytes_ > budget_ && entries_.size() > 1) {
-    const uint16_t victim = lru_.back();
-    lru_.pop_back();
-    auto v = entries_.find(victim);
-    bytes_ -= v->second.first.size();
-    entries_.erase(v);
+  while (bytes_ + payload.size() > budget_ && !order_.empty()) {
+    auto victim = entries_.find(order_.begin()->seq);
+    bytes_ -= victim->second.payload.size();
+    order_.erase(order_.begin());
+    entries_.erase(victim);
     ++counters_.evictions;
   }
+  bytes_ += payload.size();
+  auto it = entries_.emplace(seq, Entry{std::move(payload), ++clock_}).first;
+  order_.insert(KeyOf(seq, it->second));
 }
 
 // ---------------------------------------------------------------------------
@@ -185,10 +203,18 @@ Result<SelectiveRestorer> SelectiveRestorer::Open(
   }
   // Cross-check that the index describes *this* archive before trusting
   // its byte ranges: the emblem arithmetic over its stream length must
-  // reproduce the reel's data-frame count exactly.
+  // reproduce the reel's data-frame count exactly. That arithmetic runs in
+  // int, so first bound the stream by what the frames can carry at all.
+  const size_t have = reader.frame_count(mocoder::StreamId::kData);
+  if (index.stream_len > have * static_cast<uint64_t>(capacity)) {
+    return Status::InvalidArgument(
+        "record index describes a " + std::to_string(index.stream_len) +
+        "-byte stream but the reel's " + std::to_string(have) +
+        " data frames carry at most " +
+        std::to_string(have * static_cast<uint64_t>(capacity)) + " bytes");
+  }
   const size_t want = static_cast<size_t>(
       mocoder::TotalEmblemCount(index.stream_len, capacity));
-  const size_t have = reader.frame_count(mocoder::StreamId::kData);
   if (want != have) {
     return Status::InvalidArgument(
         "record index describes a " + std::to_string(want) +
@@ -201,12 +227,11 @@ Result<SelectiveRestorer> SelectiveRestorer::Open(
   r.index_ = std::move(index);
   r.options_ = options;
   r.capacity_ = capacity;
-  // Group recovery caches a whole group's data payloads at once; a budget
-  // below that would evict its own results mid-recovery.
+  // The budget never drops below two groups of payloads.
   r.options_.cache_bytes =
       std::max(r.options_.cache_bytes,
                static_cast<size_t>(mocoder::kGroupSize) * capacity * 2);
-  r.cache_.emplace(r.options_.cache_bytes);
+  r.cache_.emplace(r.options_.cache_bytes, static_cast<size_t>(capacity));
   return r;
 }
 
@@ -236,7 +261,7 @@ Result<Bytes> SelectiveRestorer::FetchEmblem(uint16_t seq) const {
   return payload;
 }
 
-Status SelectiveRestorer::RecoverGroup(int group) {
+Result<std::vector<Bytes>> SelectiveRestorer::RecoverGroup(int group) {
   // Pull everything the group still has — data slots and parity — and let
   // the outer code rebuild the rest (up to 3 losses per group, FORMAT.md
   // §4). Failed inner decodes are exactly the losses recovery exists for.
@@ -263,14 +288,15 @@ Status SelectiveRestorer::RecoverGroup(int group) {
                                 capacity_));
   const int data_count =
       mocoder::DataEmblemCount(index_.stream_len, capacity_);
-  for (int s = 0; s < mocoder::kGroupData; ++s) {
-    const int d = group * mocoder::kGroupData + s;
-    if (d >= data_count) break;
-    const uint16_t seq = mocoder::SeqOfDataIndex(d);
+  data.resize(static_cast<size_t>(std::min(
+      mocoder::kGroupData, data_count - group * mocoder::kGroupData)));
+  for (int s = 0; s < static_cast<int>(data.size()); ++s) {
+    const uint16_t seq =
+        mocoder::SeqOfDataIndex(group * mocoder::kGroupData + s);
     if (payloads.find(seq) == payloads.end()) run_.emblems_recovered += 1;
-    cache_->Put(seq, std::move(data[s]));
+    cache_->Offer(seq, data[s]);
   }
-  return Status::OK();
+  return data;
 }
 
 Result<Bytes> SelectiveRestorer::StreamSlice(uint64_t offset, uint64_t len) {
@@ -279,20 +305,34 @@ Result<Bytes> SelectiveRestorer::StreamSlice(uint64_t offset, uint64_t len) {
   if (offset > index_.stream_len || len > index_.stream_len - offset) {
     return Status::InvalidArgument("stream slice past the end");
   }
-  out.reserve(len);
+  out.resize(len);
   const uint64_t cap = static_cast<uint64_t>(capacity_);
   const int first = static_cast<int>(offset / cap);
   const int last = static_cast<int>((offset + len + cap - 1) / cap);
 
-  // Payloads already decoded stay in the cache; the rest fan out across
-  // workers (seek reads and inner decodes are pure), then land in the
-  // cache serially. `local` pins this slice's payloads against eviction.
-  std::map<int, Bytes> local;
+  // Copies the part of data emblem `d` inside the slice into `out`, and
+  // keeps the slice's last payload for the next chunk of this Restore.
+  std::optional<std::pair<int, Bytes>> next_carry;
+  auto place = [&](int d, const Bytes& payload) {
+    const uint64_t emblem_begin = static_cast<uint64_t>(d) * cap;
+    const uint64_t begin = std::max(offset, emblem_begin);
+    const uint64_t end = std::min(offset + len, emblem_begin + cap);
+    std::copy(payload.begin() + (begin - emblem_begin),
+              payload.begin() + (end - emblem_begin),
+              out.begin() + (begin - offset));
+    if (d == last - 1) next_carry.emplace(d, payload);
+  };
+
+  // Cached payloads (or the previous slice's carried one) land directly;
+  // the rest fan out across workers (seek reads and inner decodes are
+  // pure), then are offered to the cache serially.
   std::vector<int> missing;
   for (int d = first; d < last; ++d) {
     if (const Bytes* p = cache_->Get(mocoder::SeqOfDataIndex(d))) {
       run_.cache_hits += 1;
-      local.emplace(d, *p);
+      place(d, *p);
+    } else if (carry_.has_value() && carry_->first == d) {
+      place(d, carry_->second);
     } else {
       missing.push_back(d);
     }
@@ -306,33 +346,28 @@ Result<Bytes> SelectiveRestorer::StreamSlice(uint64_t offset, uint64_t len) {
           return Status::OK();
         },
         options_.threads));
+    // Groups rebuilt in this slice, so each is recovered once.
+    std::map<int, std::vector<Bytes>> recovered;
     for (size_t i = 0; i < missing.size(); ++i) {
       const int d = missing[i];
       Result<Bytes>& r = *fetched[i];
       if (r.ok()) {
         run_.emblems_decoded += 1;
-        cache_->Put(mocoder::SeqOfDataIndex(d), r.value());
-        local.emplace(d, std::move(r).TakeValue());
+        place(d, r.value());
+        cache_->Offer(mocoder::SeqOfDataIndex(d), std::move(r).TakeValue());
         continue;
       }
       // Lost emblem: rebuild its whole group through the outer code.
-      ULE_RETURN_IF_ERROR(RecoverGroup(d / mocoder::kGroupData));
-      const Bytes* p = cache_->Get(mocoder::SeqOfDataIndex(d));
-      if (p == nullptr) {
-        return Status::Corruption("group recovery did not yield emblem " +
-                                  std::to_string(d));
+      const int group = d / mocoder::kGroupData;
+      auto g = recovered.find(group);
+      if (g == recovered.end()) {
+        ULE_ASSIGN_OR_RETURN(std::vector<Bytes> data, RecoverGroup(group));
+        g = recovered.emplace(group, std::move(data)).first;
       }
-      local.emplace(d, *p);
+      place(d, g->second[static_cast<size_t>(d % mocoder::kGroupData)]);
     }
   }
-  for (int d = first; d < last; ++d) {
-    const Bytes& payload = local.at(d);
-    const uint64_t emblem_begin = static_cast<uint64_t>(d) * cap;
-    const uint64_t begin = std::max(offset, emblem_begin);
-    const uint64_t end = std::min(offset + len, emblem_begin + cap);
-    out.insert(out.end(), payload.begin() + (begin - emblem_begin),
-               payload.begin() + (end - emblem_begin));
-  }
+  carry_ = std::move(next_carry);
   return out;
 }
 
@@ -374,6 +409,7 @@ Status SelectiveRestorer::EnsureWholeDump() {
 Result<std::string> SelectiveRestorer::Restore(const RestorePredicate& pred,
                                                SelectiveStats* stats) {
   run_ = SelectiveStats{};
+  carry_.reset();
   const filmstore::ReadCounters before = reader_->read_counters();
   if (pred.table.empty()) {
     return Status::InvalidArgument("selective restore needs a table");

@@ -11,11 +11,15 @@
 ///   (filmstore::SeekableSource)
 ///
 /// Only the touched frame records are read and only the touched emblems
-/// are decoded; a decoded-payload LRU cache (bounded by
-/// `SelectiveOptions::cache_bytes`) keeps chunk overlaps and group
-/// recovery from re-reading. An emblem whose inner decode fails falls
-/// back to fetching its whole group (including parity frames) and
-/// erasure-decoding it, exactly like the streaming path.
+/// are decoded. A decoded-payload cache (bounded by
+/// `SelectiveOptions::cache_bytes`) admits a fresh payload only when its
+/// emblem has been probed more often than the least-frequent resident,
+/// so whole-table scans cannot flush the emblems repeated queries need.
+/// Within one restore, the emblem two consecutive chunks share is
+/// carried from one to the next whatever the cache admitted. An emblem
+/// whose inner decode fails falls back to fetching its whole group
+/// (including parity frames) and erasure-decoding it, exactly like the
+/// streaming path.
 ///
 /// Whole-table selections return the *exact byte slice* of the full dump
 /// (schema + rows + terminator); row-range and column selections return a
@@ -26,10 +30,11 @@
 #define ULE_CORE_SELECTIVE_H_
 
 #include <cstdint>
-#include <list>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/record_index.h"
@@ -56,7 +61,8 @@ struct SelectiveOptions {
   /// Worker threads for the fan-out over needed frame records (0 =
   /// automatic, same convention as the rest of the pipeline).
   int threads = 0;
-  /// Budget of the decoded-payload LRU cache in bytes.
+  /// Budget of the decoded-payload cache in bytes (frequency-gated
+  /// admission, least-frequent eviction; see SelectiveRestorer).
   size_t cache_bytes = 32u << 20;
 };
 
@@ -68,7 +74,7 @@ struct SelectiveStats {
   size_t emblems_decoded = 0;   ///< inner decodes run (cache misses)
   size_t emblems_recovered = 0; ///< emblems rebuilt by the outer code
   size_t chunks_decoded = 0;    ///< dump chunks materialized
-  size_t cache_hits = 0;        ///< payloads served from the LRU cache
+  size_t cache_hits = 0;        ///< payloads served from the payload cache
 };
 
 /// \brief Resolves predicates against one archive through its record
@@ -92,14 +98,17 @@ class SelectiveRestorer {
 
   const RecordIndex& index() const { return index_; }
 
-  /// Lifetime counters of the decoded-payload LRU cache, across every
-  /// Restore on this restorer (SelectiveStats is per-call and only counts
-  /// the chunk-assembly probes; these gauge the cache itself, including
+  /// Lifetime counters of the decoded-payload cache, which admits a
+  /// payload only when its emblem was probed more often than the
+  /// least-frequent resident it would evict. They span every Restore on
+  /// this restorer (SelectiveStats is per-call and only counts the
+  /// chunk-assembly probes; these gauge the cache itself, including
   /// group-recovery lookups — bench_microfilm records them).
   struct CacheCounters {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
+    uint64_t rejected = 0;  ///< decoded payloads the admission test kept out
   };
   CacheCounters cache_counters() const;
 
@@ -118,24 +127,57 @@ class SelectiveRestorer {
   /// Seek-reads and inner-decodes the emblem with sequence number `seq`.
   /// Pure (no cache/stats mutation): safe to fan out across workers.
   Result<Bytes> FetchEmblem(uint16_t seq) const;
-  Status RecoverGroup(int group);
+  /// Rebuilds `group` through the outer code and returns its data
+  /// payloads (slot order, real slots only). They are also offered to the
+  /// cache, but callers use the returned copies.
+  Result<std::vector<Bytes>> RecoverGroup(int group);
   Status EnsureWholeDump();
 
-  /// Bounded LRU over decoded emblem payloads, keyed by sequence number.
+  /// Decoded emblem payloads keyed by sequence number, with TinyLFU-style
+  /// frequency-gated admission: every probe counts toward its seq, all
+  /// counts halve every 10 × (payloads the budget holds) probes, and a
+  /// payload offered to a full cache enters only when its count exceeds
+  /// that of the entry it would evict (the lowest count, oldest use
+  /// first; a tie keeps the resident). Every operation is O(log n)
+  /// through `order_`; a halving re-sorts it, amortized over its period.
   class PayloadCache {
    public:
-    explicit PayloadCache(size_t budget) : budget_(budget) {}
+    PayloadCache(size_t budget, size_t payload_bytes);
+    /// Counts a probe of `seq`; the resident payload, or null on a miss.
+    /// The pointer lives until the next Offer.
     const Bytes* Get(uint16_t seq);
-    void Put(uint16_t seq, Bytes payload);
+    /// Offers a freshly decoded payload of a just-probed `seq`; admitted
+    /// under the rule above, else counted as rejected.
+    void Offer(uint16_t seq, Bytes payload);
     const CacheCounters& counters() const { return counters_; }
 
    private:
+    /// Eviction order: lowest count first, then oldest use.
+    struct Key {
+      uint32_t count;
+      uint64_t last_use;
+      uint16_t seq;
+      bool operator<(const Key& o) const {
+        return count != o.count ? count < o.count : last_use < o.last_use;
+      }
+    };
+    struct Entry {
+      Bytes payload;
+      uint64_t last_use;
+    };
+    Key KeyOf(uint16_t seq, const Entry& e) const {
+      return Key{counts_[seq], e.last_use, seq};
+    }
+    void Halve();
+
     size_t budget_;
     size_t bytes_ = 0;
-    std::list<uint16_t> lru_;  ///< front = most recently used
-    std::unordered_map<uint16_t,
-                       std::pair<Bytes, std::list<uint16_t>::iterator>>
-        entries_;
+    uint64_t sample_;         ///< probes between halvings
+    uint64_t probes_ = 0;     ///< probes since the last halving
+    uint64_t clock_ = 0;      ///< use stamp source
+    std::vector<uint32_t> counts_;  ///< one per u16 seq
+    std::unordered_map<uint16_t, Entry> entries_;
+    std::set<Key> order_;     ///< residents, next victim first
     CacheCounters counters_;
   };
 
@@ -147,6 +189,9 @@ class SelectiveRestorer {
   std::optional<PayloadCache> cache_;
   std::optional<std::string> whole_dump_;  ///< unsegmented fallback
   SelectiveStats run_;  ///< accumulator of the restore in progress
+  /// Last emblem payload of the previous chunk slice in this Restore
+  /// (data index, payload): consecutive chunks share that emblem.
+  std::optional<std::pair<int, Bytes>> carry_;
 };
 
 /// One-shot convenience over SelectiveRestorer: open the reader's index

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,10 +17,13 @@
 #include "core/selective.h"
 #include "dbcoder/dbcoder.h"
 #include "filmstore/container.h"
+#include "filmstore/frame_store.h"
 #include "filmstore/reel_reader.h"
 #include "filmstore/reel_set.h"
 #include "minidb/sqldump.h"
+#include "mocoder/outer.h"
 #include "support/io.h"
+#include "support/random.h"
 #include "tpch/tpch.h"
 
 namespace ule {
@@ -434,6 +438,293 @@ TEST(SelectiveRestoreTest, UnindexedArchiveFallsBackToDerivedIndex) {
   auto restored = restorer.value().Restore(pred);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), TableSlice(derived.value(), dump, "orders"));
+}
+
+// ---------------------------------------------------------------------------
+// In-memory archives: the payload-cache policy and group recovery.
+
+/// A reel held in memory: ArchiveDumpStreaming writes into it and the
+/// restorer seek-reads from it, so a test can replace a data frame to
+/// simulate damage.
+class MemoryReel final : public filmstore::ArchiveWriter,
+                         public filmstore::ReelReader,
+                         public filmstore::SeekableSource {
+ public:
+  explicit MemoryReel(const mocoder::Options& options) : options_(options) {
+    options_.threads = 0;
+  }
+
+  Status Append(mocoder::StreamId id, const mocoder::EncodedEmblem&,
+                media::Image&& frame) override {
+    Frames(id).push_back(std::move(frame));
+    return Status::OK();
+  }
+  Status AppendBootstrap(const std::string&) override { return Status::OK(); }
+  Status SetIndexSection(Bytes section) override {
+    index_ = std::move(section);
+    return Status::OK();
+  }
+  Status Finish() override { return Status::OK(); }
+
+  const char* kind() const override { return "memory"; }
+  const mocoder::Options& emblem_options() const override { return options_; }
+  size_t frame_count(mocoder::StreamId id) const override {
+    return Frames(id).size();
+  }
+  bool has_bootstrap() const override { return false; }
+  Result<std::string> ReadBootstrap() const override {
+    return Status::NotFound("memory reel keeps no Bootstrap");
+  }
+  std::unique_ptr<filmstore::FrameSource> OpenFrames(
+      mocoder::StreamId id) const override {
+    return std::make_unique<filmstore::VectorSource>(Frames(id));
+  }
+  Status Verify() const override { return Status::OK(); }
+  Result<Bytes> ReadIndexSection() const override { return index_; }
+  filmstore::ReadCounters read_counters() const override {
+    return reads_.Snapshot();
+  }
+  Result<media::Image> ReadFrame(mocoder::StreamId id,
+                                 size_t index) const override {
+    if (index >= Frames(id).size()) {
+      return Status::OutOfRange("frame " + std::to_string(index));
+    }
+    reads_.Count(0);
+    return Frames(id)[index];
+  }
+
+  /// Replaces data frame `index` with a blank page of the same size.
+  void BlankDataFrame(size_t index) {
+    media::Image& frame = data_[index];
+    frame = media::Image(frame.width(), frame.height());
+  }
+
+ private:
+  std::vector<media::Image>& Frames(mocoder::StreamId id) {
+    return id == mocoder::StreamId::kData ? data_ : system_;
+  }
+  const std::vector<media::Image>& Frames(mocoder::StreamId id) const {
+    return id == mocoder::StreamId::kData ? data_ : system_;
+  }
+
+  mocoder::Options options_;
+  std::vector<media::Image> data_;
+  std::vector<media::Image> system_;
+  Bytes index_;
+  mutable filmstore::ReadCounterCell reads_;
+};
+
+std::unique_ptr<MemoryReel> ArchiveInMemory(const std::string& dump,
+                                            size_t chunk_bytes) {
+  ArchiveOptions options = IndexedOptions();
+  options.index_chunk_bytes = chunk_bytes;
+  auto reel = std::make_unique<MemoryReel>(options.emblem);
+  auto summary = ArchiveDumpStreaming(dump, options, *reel);
+  EXPECT_TRUE(summary.ok()) << summary.status().ToString();
+  return reel;
+}
+
+/// One table of `rows` rows of incompressible hex text.
+std::string SyntheticTable(const std::string& name, int rows,
+                           uint64_t seed) {
+  std::string out = "CREATE TABLE " + name +
+                    " (\n    k bigint,\n    v varchar\n);\nCOPY " + name +
+                    " (k, v) FROM stdin;\n";
+  const Bytes noise = RandomBytes(seed, static_cast<size_t>(rows) * 24);
+  static const char kHex[] = "0123456789abcdef";
+  for (int r = 0; r < rows; ++r) {
+    out += std::to_string(r) + "\t";
+    for (int i = 0; i < 24; ++i) {
+      out += kHex[noise[static_cast<size_t>(r) * 24 + i] & 15];
+      out += kHex[noise[static_cast<size_t>(r) * 24 + i] >> 4];
+    }
+    out += "\n";
+  }
+  return out + "\\.\n\n";
+}
+
+/// Two tables larger than Open's floor budget with two small hot tables
+/// between them (`side` shares no emblem with `big`).
+const std::string& PolicyDump() {
+  static const std::string* dump = new std::string(
+      "-- ULE archive dump\n\n" + SyntheticTable("big", 600, 1) +
+      SyntheticTable("hot_a", 45, 2) + SyntheticTable("hot_b", 45, 3) +
+      SyntheticTable("side", 800, 4));
+  return *dump;
+}
+
+/// Data emblems spanned by `table`'s chunks.
+int EmblemsOfTable(const RecordIndex& index, const std::string& table,
+                   int capacity) {
+  const std::vector<size_t> chunks = index.ChunksOfTable(table);
+  const IndexChunk& first = index.chunks[chunks.front()];
+  const IndexChunk& last = index.chunks[chunks.back()];
+  const uint64_t cap = static_cast<uint64_t>(capacity);
+  const uint64_t end = last.stream_offset + last.stream_len;
+  return static_cast<int>((end + cap - 1) / cap - first.stream_offset / cap);
+}
+
+/// Payloads Open's floor budget holds: two outer groups.
+constexpr int kFloorPayloads = 2 * mocoder::kGroupSize;
+
+class SelectiveCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    reel_ = ArchiveInMemory(PolicyDump(), 8192);
+    SelectiveOptions options;
+    options.cache_bytes = 0;  // Open raises it to its two-group floor
+    auto restorer = SelectiveRestorer::Open(*reel_, options);
+    ASSERT_TRUE(restorer.ok()) << restorer.status().ToString();
+    restorer_.emplace(std::move(restorer).TakeValue());
+    capacity_ = mocoder::EmblemCapacity(reel_->emblem_options().data_side);
+    ASSERT_GT(EmblemsOfTable(restorer_->index(), "big", capacity_),
+              2 * kFloorPayloads);
+    ASSERT_LT(EmblemsOfTable(restorer_->index(), "hot_a", capacity_),
+              kFloorPayloads / 4);
+    ASSERT_LT(EmblemsOfTable(restorer_->index(), "hot_b", capacity_),
+              kFloorPayloads / 4);
+  }
+
+  /// Restores a whole table, checks its bytes, and returns the emblems
+  /// the restore decoded.
+  size_t Restore(const std::string& table) {
+    RestorePredicate pred;
+    pred.table = table;
+    SelectiveStats stats;
+    auto restored = restorer_->Restore(pred, &stats);
+    EXPECT_TRUE(restored.ok()) << restored.status().ToString();
+    if (restored.ok()) {
+      EXPECT_EQ(restored.value(),
+                TableSlice(restorer_->index(), PolicyDump(), table))
+          << table;
+    }
+    return stats.emblems_decoded;
+  }
+
+  std::unique_ptr<MemoryReel> reel_;
+  std::optional<SelectiveRestorer> restorer_;
+  int capacity_ = 0;
+};
+
+TEST_F(SelectiveCacheTest, HotTableSurvivesWholeTableScans) {
+  // Each round scans a table over twice the budget, then restores the
+  // small hot table three times. From the third round on the hot table
+  // never decodes again: the scan's emblems, probed once a round, cannot
+  // displace emblems probed three times a round.
+  for (int round = 0; round < 8; ++round) {
+    Restore("big");
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const size_t decoded = Restore("hot_a");
+      if (round >= 2) {
+        EXPECT_EQ(decoded, 0u) << "round " << round << " repeat " << repeat;
+      }
+    }
+  }
+  EXPECT_GT(restorer_->cache_counters().rejected, 0u);
+}
+
+TEST_F(SelectiveCacheTest, NewHotTableDisplacesTheOldOne) {
+  // A long stretch with hot_a, then hot_b takes over while the scans go
+  // on. Aging lets hot_b in within two rounds. Counts that never age keep
+  // hot_a's history ahead of it for many rounds; inserting at the
+  // least-recent end admits hot_b one emblem per restore.
+  for (int round = 0; round < 16; ++round) {
+    Restore("big");
+    for (int repeat = 0; repeat < 3; ++repeat) Restore("hot_a");
+  }
+  for (int round = 0; round < 6; ++round) {
+    Restore("big");
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const size_t decoded = Restore("hot_b");
+      if (round >= 2) {
+        EXPECT_EQ(decoded, 0u) << "round " << round << " repeat " << repeat;
+      }
+    }
+  }
+}
+
+TEST_F(SelectiveCacheTest, RefusedBoundaryEmblemsDecodeOnce) {
+  // Two scans leave the cache full of emblems probed twice; every emblem
+  // of `side` is probed once before its decode and so is refused. Its
+  // chunks still share their boundary emblems within the restore.
+  Restore("big");
+  Restore("big");
+  const SelectiveRestorer::CacheCounters before =
+      restorer_->cache_counters();
+  const size_t decoded = Restore("side");
+  const SelectiveRestorer::CacheCounters after = restorer_->cache_counters();
+  ASSERT_GT(restorer_->index().ChunksOfTable("side").size(), 4u);
+  EXPECT_EQ(decoded, static_cast<size_t>(EmblemsOfTable(
+                         restorer_->index(), "side", capacity_)));
+  EXPECT_EQ(after.rejected - before.rejected, decoded);
+  EXPECT_EQ(after.evictions, before.evictions);
+}
+
+TEST(SelectiveRecoveryTest, LostDataFrameIsRebuiltFromItsGroup) {
+  auto reel = ArchiveInMemory(PolicyDump(), 8192);
+  auto section = reel->ReadIndexSection();
+  ASSERT_TRUE(section.ok());
+  auto index = RecordIndex::Parse(section.value());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const int capacity =
+      mocoder::EmblemCapacity(reel->emblem_options().data_side);
+
+  // Blank the frame of a data emblem in the middle of `side`.
+  const std::vector<size_t> chunks = index.value().ChunksOfTable("side");
+  const IndexChunk& middle = index.value().chunks[chunks[chunks.size() / 2]];
+  const int lost = static_cast<int>(middle.stream_offset /
+                                    static_cast<uint64_t>(capacity));
+  const int frame = mocoder::FrameIndexOfSeq(mocoder::SeqOfDataIndex(lost),
+                                             index.value().stream_len,
+                                             capacity);
+  ASSERT_GE(frame, 0);
+  reel->BlankDataFrame(static_cast<size_t>(frame));
+
+  for (const size_t budget : {SelectiveOptions().cache_bytes, size_t{0}}) {
+    SelectiveOptions options;
+    options.cache_bytes = budget;  // 0: Open's two-group floor
+    auto restorer = SelectiveRestorer::Open(*reel, options);
+    ASSERT_TRUE(restorer.ok()) << restorer.status().ToString();
+    // Two scans of `big` fill the floor budget with emblems probed twice,
+    // so that cache refuses the rebuilt payloads: the slice must take
+    // them from the recovery itself.
+    RestorePredicate pred;
+    pred.table = "big";
+    for (int scan = 0; scan < 2; ++scan) {
+      ASSERT_TRUE(restorer.value().Restore(pred).ok());
+    }
+    pred.table = "side";
+    SelectiveStats stats;
+    auto restored = restorer.value().Restore(pred, &stats);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value(),
+              TableSlice(index.value(), PolicyDump(), "side"))
+        << "budget " << budget;
+    EXPECT_EQ(stats.emblems_recovered, 1u) << "budget " << budget;
+  }
+}
+
+TEST(SelectiveRestoreTest, OpenRejectsStreamLongerThanTheReel) {
+  auto reel = ArchiveInMemory(PolicyDump(), 8192);
+  auto section = reel->ReadIndexSection();
+  ASSERT_TRUE(section.ok());
+  auto index = RecordIndex::Parse(section.value());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const int capacity =
+      mocoder::EmblemCapacity(reel->emblem_options().data_side);
+
+  // 2^32 more emblems' worth of stream: the int emblem count wraps back to
+  // the reel's frame count, and the CRC is valid.
+  RecordIndex crafted = index.value();
+  crafted.stream_len += (uint64_t{1} << 32) * static_cast<uint64_t>(capacity);
+  auto parsed = RecordIndex::Parse(crafted.Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_NO_THROW({
+    auto restorer = SelectiveRestorer::Open(*reel, parsed.value());
+    ASSERT_FALSE(restorer.ok());
+    EXPECT_EQ(restorer.status().code(), StatusCode::kInvalidArgument)
+        << restorer.status().ToString();
+  });
 }
 
 }  // namespace
